@@ -20,6 +20,9 @@
 //                  on, bulk off) and emit the pair as BENCH_JSON;
 //                  implied by --smoke
 //   --scores=N --notes=N --threads=N --ops=N --seed=N  override scale
+//   --help         print this flag list and exit; any unknown flag
+//                  prints it and exits 2 (a typo never starts the
+//                  full-scale run)
 //
 // Output: one BENCH_JSON line per phase (load, local, remote) with
 // per-class qps/p50/p99. See docs/WORKLOADS.md.
@@ -61,11 +64,28 @@ bool ParseIntFlag(const char* arg, const char* name, long long* out) {
   return true;
 }
 
-Options ParseOptions(int argc, char** argv) {
-  Options o;
+constexpr const char kUsage[] =
+    "usage: bench_fig01_macro [--smoke] [--oracle] [--bulk-index=on|off]\n"
+    "                         [--ablation] [--scores=N] [--notes=N]\n"
+    "                         [--threads=N] [--ops=N] [--seed=N] [--help]\n"
+    "  --smoke        small preset (~10^4 notes), oracle on\n"
+    "  --oracle       cross-check every op + periodic battery\n"
+    "  --bulk-index=off  incremental index upkeep during the load\n"
+    "  --ablation     also load bulk on/off and emit the pair\n"
+    "  --scores/--notes/--threads/--ops/--seed  override the scale\n"
+    "Without flags: the full 10^6-note run (minutes).\n";
+
+/// Parses the flags into `o`. Returns false after printing the usage
+/// for --help (exit 0) or an unknown flag (exit 2, via *exit_code).
+bool ParseOptions(int argc, char** argv, Options* out, int* exit_code) {
+  Options& o = *out;
   for (int i = 1; i < argc; ++i) {
     long long v = 0;
-    if (std::strcmp(argv[i], "--oracle") == 0)
+    if (std::strcmp(argv[i], "--help") == 0) {
+      std::fputs(kUsage, stdout);
+      *exit_code = 0;
+      return false;
+    } else if (std::strcmp(argv[i], "--oracle") == 0)
       o.oracle = true;
     else if (std::strcmp(argv[i], "--bulk-index=off") == 0)
       o.bulk_index = false;
@@ -83,10 +103,13 @@ Options ParseOptions(int argc, char** argv) {
       o.ops_per_tenant = static_cast<int>(v);
     else if (ParseIntFlag(argv[i], "--seed", &v))
       o.seed = static_cast<uint64_t>(v);
-    else
-      std::fprintf(stderr, "ignoring unknown flag %s\n", argv[i]);
+    else {
+      std::fprintf(stderr, "unknown flag %s\n%s", argv[i], kUsage);
+      *exit_code = 2;
+      return false;
+    }
   }
-  return o;
+  return true;
 }
 
 void PrintClassJson(std::string* out, const mdm::workload::Report& r) {
@@ -209,7 +232,9 @@ bool LoadPhaseDb(const char* phase, const Options& o, LoadedDb* out) {
 
 int main(int argc, char** argv) {
   const bool smoke = mdm::bench::ConsumeSmokeFlag(&argc, argv);
-  Options o = ParseOptions(argc, argv);
+  Options o;
+  int exit_code = 0;
+  if (!ParseOptions(argc, argv, &o, &exit_code)) return exit_code;
   o.smoke = smoke;
   if (smoke) {
     // The tier-1/CI preset: ~10^4 notes across 20 scores, oracle on.

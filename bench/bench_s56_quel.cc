@@ -1,13 +1,20 @@
 // §5.6: the four ordering queries, run verbatim through QUEL. Measures
 // latency against chord size and database size, and two DESIGN.md
 // evaluation-strategy ablations: conjunct push-down versus the naive
-// full cross product, and the ordering index (sibling ranks + Euler
-// intervals) versus the unindexed linear-scan/parent-walk path.
+// full cross product, the ordering index (sibling ranks + Euler
+// intervals) versus the unindexed linear-scan/parent-walk path, and the
+// ordering access paths (loops driven from S-edges) versus the extent
+// scan as the corpus grows.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
+#include "common/strings.h"
 #include "quel/quel.h"
 
 namespace {
@@ -166,11 +173,94 @@ Database MakeDeepSectionDb(int depth, mdm::er::EntityId* root,
   return db;
 }
 
+// A staff-shaped corpus like the fig-1 scores: `staves` staves of
+// `per_staff` notes in note_on_staff, with STAFF(number) indexed so the
+// staff lookup itself stays flat as the corpus grows.
+Database MakeStaffDb(int staves, int per_staff) {
+  Database db;
+  auto ddl = mdm::ddl::ExecuteDdl(R"(
+    define entity STAFF (number = integer)
+    define entity NOTE (midi_key = integer, degree = integer)
+    define ordering note_on_staff (NOTE) under STAFF
+    define index staff_number on STAFF(number)
+  )",
+                                  &db);
+  if (!ddl.ok()) std::abort();
+  auto h = *db.ResolveOrderingHandle("note_on_staff");
+  for (int s = 1; s <= staves; ++s) {
+    mdm::er::EntityId staff = *db.CreateEntity("STAFF");
+    (void)db.SetAttribute(staff, "number", mdm::rel::Value::Int(s));
+    for (int n = 0; n < per_staff; ++n) {
+      mdm::er::EntityId note = *db.CreateEntity("NOTE");
+      (void)db.SetAttribute(note, "midi_key",
+                            mdm::rel::Value::Int(48 + (n * 7) % 36));
+      (void)db.SetAttribute(note, "degree", mdm::rel::Value::Int(n % 7));
+      (void)db.AppendChild(h, staff, note);
+    }
+  }
+  return db;
+}
+
+// The analyzer (A2) and typesetter (T1) shapes of the fig-1 mix.
+constexpr const char* kA2Query =
+    "range of n is NOTE range of s is STAFF "
+    "retrieve (c = count(n)) where n under s in note_on_staff "
+    "and s.number = 2";
+constexpr const char* kT1Query =
+    "range of n is NOTE range of s is STAFF "
+    "retrieve (n.midi_key, n.degree) where n under s in note_on_staff "
+    "and s.number = 2";
+
+// Ordering access paths vs the extent scan they replace: p50 latency and
+// bindings enumerated per A2/T1 query as the corpus grows at a fixed
+// fan-out of 400 notes per staff. With access paths on, both should
+// stay flat; with EnableOrderingIndex(false) they grow with the corpus.
+std::string OrderingAccessRow(bool smoke) {
+  constexpr int kPerStaff = 400;
+  // Staff counts: 10^4 and 10^5 notes (smoke: 1200 and 10^4).
+  const std::vector<int> staff_counts =
+      smoke ? std::vector<int>{3, 25} : std::vector<int>{25, 250};
+  const int iters = smoke ? 5 : 21;
+  std::string cases;
+  for (int staves : staff_counts) {
+    const int notes = staves * kPerStaff;
+    Database db = MakeStaffDb(staves, kPerStaff);
+    for (bool on : {true, false}) {
+      db.EnableOrderingIndex(on);
+      for (const auto& [shape, query] :
+           {std::pair<const char*, const char*>{"A2", kA2Query},
+            std::pair<const char*, const char*>{"T1", kT1Query}}) {
+        mdm::quel::QuelSession session(&db);
+        (void)session.Execute(query);  // warm: parse cache, lazy indexes
+        session.ResetStats();
+        std::vector<double> us;
+        for (int i = 0; i < iters; ++i)
+          us.push_back(NsPerOp(
+                           [&] {
+                             benchmark::DoNotOptimize(
+                                 session.Execute(query)->size());
+                           },
+                           1) /
+                       1000.0);
+        std::sort(us.begin(), us.end());
+        if (!cases.empty()) cases += ", ";
+        cases += mdm::StrFormat(
+            "{\"shape\": \"%s\", \"notes\": %d, \"access\": \"%s\", "
+            "\"p50_us\": %.1f, \"rows_scanned\": %llu}",
+            shape, notes, on ? "ordering" : "scan", us[us.size() / 2],
+            (unsigned long long)(session.stats().rows_scanned / iters));
+      }
+    }
+  }
+  return "{\"op\": \"ordering_access\", \"per_staff\": " +
+         std::to_string(kPerStaff) + ", \"cases\": [" + cases + "]}";
+}
+
 // The acceptance comparison for the §5.6 structural indexes, emitted as
 // one JSON object so runs can be diffed: before/under predicate latency
 // on a 10k-note database, indexed versus the EnableOrderingIndex(false)
 // ablation, plus query-level and push-down numbers for context.
-void EmitBeforeAfterJson() {
+void EmitBeforeAfterJson(bool smoke) {
   constexpr int kPredIters = 20000;
   constexpr int kQueryIters = 10;
   // Registry deltas over the timed sections below (ordering-index hit
@@ -248,12 +338,12 @@ void EmitBeforeAfterJson() {
       "{\"op\": \"before_query\", \"indexed_ns\": %.0f, "
       "\"unindexed_ns\": %.0f, \"speedup\": %.2f}, "
       "{\"op\": \"pushdown_vs_naive\", \"planned_ns\": %.0f, "
-      "\"naive_ns\": %.0f, \"speedup\": %.1f}], "
+      "\"naive_ns\": %.0f, \"speedup\": %.1f}, %s], "
       "\"metrics\": {%s}}\n",
       before_idx, before_scan, before_scan / before_idx, under_idx, under_walk,
       under_walk / under_idx, q_before_idx, q_before_scan,
       q_before_scan / q_before_idx, q_planned, q_naive, q_naive / q_planned,
-      metrics.DeltaJson().c_str());
+      OrderingAccessRow(smoke).c_str(), metrics.DeltaJson().c_str());
   std::printf("acceptance (>=10x on indexed before/under predicates): "
               "before %.1fx, under %.1fx\n\n",
               before_scan / before_idx, under_walk / under_idx);
@@ -276,7 +366,7 @@ int main(int argc, char** argv) {
   std::printf("notes under chord 1:\n%s\n", rs->ToString().c_str());
   std::printf("expect: push-down ~linear in notes; naive cross product\n"
               "quadratic (the gap widens with database size).\n\n");
-  EmitBeforeAfterJson();
+  EmitBeforeAfterJson(smoke);
   benchmark::Initialize(&argc, argv);
   if (!smoke) benchmark::RunSpecifiedBenchmarks();
   return 0;

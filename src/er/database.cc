@@ -469,6 +469,11 @@ Status Database::CommitTxn() {
 }
 
 void Database::BeginStatementGroup() {
+  // Direct-API mutations made before the group (no guard, so never
+  // published) must be published before the writer is marked active:
+  // from then on TryPinSnapshot serves the published snapshot, which
+  // would otherwise hide them from readers mid-group.
+  PublishSnapshot();
   writer_active_.store(true, std::memory_order_release);
   group_active_ = true;
 }
@@ -1237,6 +1242,61 @@ Result<bool> Database::Under(const std::string& ordering, EntityId child,
                              EntityId parent) const {
   MDM_ASSIGN_OR_RETURN(OrderingHandle h, ResolveOrderingHandle(ordering));
   return Under(h, child, parent);
+}
+
+Status Database::ForEachInOrderingSlice(
+    OrderingHandle h, OrderingSlice slice, EntityId anchor,
+    uint32_t type_index, const std::function<bool(EntityId)>& fn) const {
+  const Tables& t = ReadTables();
+  if (!t.entities.Contains(anchor))
+    return NotFound(StrFormat("no entity #%llu", (unsigned long long)anchor));
+  const ErSchema& schema = t.schema->schema;
+  const OrderingDef& def = schema.orderings()[h.index()];
+  const OrdState& ord = *t.orderings[h.index()];
+  // Only an inhomogeneous ordering can hold entities of other types.
+  const bool filter =
+      def.child_types.size() != 1 ||
+      !EqualsIgnoreCase(def.child_types[0],
+                        schema.entity_types()[type_index].name);
+  auto visit = [&](EntityId id) {
+    if (filter && (*t.entities.Find(id))->type_index != type_index)
+      return true;
+    return fn(id);
+  };
+
+  if (slice != OrderingSlice::kDescendants) {
+    const EntityId* parent = ord.parent_of.Find(anchor);
+    if (parent == nullptr) return Status::OK();
+    std::shared_ptr<const RankIndex> ranks = RankIndexFor(ord);
+    const size_t pos = ranks->rank_of.at(anchor);
+    const std::vector<EntityId>& sibs = (*ord.children.Find(*parent))->ids;
+    const size_t begin = slice == OrderingSlice::kBefore ? 0 : pos + 1;
+    const size_t end = slice == OrderingSlice::kBefore ? pos : sibs.size();
+    for (size_t i = begin; i < end; ++i)
+      if (!visit(sibs[i])) break;
+    return Status::OK();
+  }
+
+  // Iterative preorder walk over S-edges. Only a recursive ordering can
+  // nest, so a flat one never looks up a child's children.
+  const bool nested = def.IsRecursive();
+  std::vector<std::pair<const std::vector<EntityId>*, size_t>> stack;
+  auto push_children = [&](EntityId node) {
+    const std::shared_ptr<Sibs>* kids = ord.children.Find(node);
+    if (kids != nullptr) stack.emplace_back(&(*kids)->ids, 0);
+  };
+  push_children(anchor);
+  while (!stack.empty()) {
+    auto& [kids, next] = stack.back();
+    if (next == kids->size()) {
+      stack.pop_back();
+      continue;
+    }
+    const EntityId id = (*kids)[next++];
+    if (!visit(id)) break;
+    if (nested) push_children(id);
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------

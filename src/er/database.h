@@ -74,6 +74,14 @@ struct OrderingIndexStats {
   uint64_t linear_scans = 0;
 };
 
+/// The part of one ordering an access path enumerates, relative to an
+/// anchor entity (Database::ForEachInOrderingSlice).
+enum class OrderingSlice : uint8_t {
+  kDescendants,  // the anchor's subtree: every x with `x under anchor`
+  kBefore,       // earlier siblings: every x with `x before anchor`
+  kAfter,        // later siblings: every x with `x after anchor`
+};
+
 /// Definition of one secondary attribute index (§5.2's "orderings as
 /// physical optimization" generalized to attributes — the thematic
 /// index made physical): a B+tree over one attribute of one entity
@@ -416,6 +424,22 @@ class Database {
                      EntityId parent) const;
   Result<bool> Under(OrderingHandle h, EntityId child, EntityId parent) const;
 
+  /// Ordering access path (§5.2: the ordering as a physical access
+  /// method). Visits, in ordering order, every entity of entity type
+  /// `type_index` (into ErSchema::entity_types()) for which the slice's
+  /// predicate holds against `anchor`: Under(h, x, anchor) for
+  /// kDescendants (a preorder walk of anchor's subtree, any depth),
+  /// Before(h, x, anchor) / After(h, x, anchor) for kBefore / kAfter
+  /// (the prefix / suffix of anchor's sibling list). Reads the S- and
+  /// P-edges of the tables this thread reads, so under a
+  /// SnapshotReadScope the slice is exactly the pinned snapshot. Never
+  /// builds the interval index; sibling slices locate the anchor through
+  /// the rank index. NotFound if `anchor` does not exist. Stop early by
+  /// returning false.
+  Status ForEachInOrderingSlice(OrderingHandle h, OrderingSlice slice,
+                                EntityId anchor, uint32_t type_index,
+                                const std::function<bool(EntityId)>& fn) const;
+
   /// Ablation switch for the §5.6 structural indexes. When disabled,
   /// Before/After fall back to linear sibling scans and Under to an
   /// upward P-edge walk (semantics are identical; only the cost
@@ -531,7 +555,11 @@ class Database {
   /// publishes and clears the mark. er::WriteGuard calls these — prefer
   /// it over calling them directly. Unlike statement groups, these do
   /// NOT change commit semantics (each journaled op still auto-commits).
+  /// Begin first publishes unguarded mutations made before the scope
+  /// (no-op when there are none), for the same reason as
+  /// BeginStatementGroup.
   void BeginWriteScope() {
+    PublishSnapshot();
     writer_active_.store(true, std::memory_order_release);
   }
   void EndWriteScope() {

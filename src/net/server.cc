@@ -541,8 +541,8 @@ void Server::ServeConnection(uint64_t id, int fd) {
           rec.affected = rows_affected;
           rec.error = ErrorCodeName(finished.error_code());
           for (auto& loop : actuals.loops)
-            rec.loops.push_back(
-                {std::move(loop.var), loop.rows_in, loop.rows_out});
+            rec.loops.push_back({std::move(loop.var), std::move(loop.access),
+                                 loop.rows_in, loop.rows_out});
           opts_.slow_query_log->Log(std::move(rec));
         }
       }

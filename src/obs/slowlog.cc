@@ -67,6 +67,7 @@ std::string RenderSlowQueryJson(const SlowQueryRecord& r) {
     if (!first) out += ",";
     first = false;
     out += "{\"var\":\"" + JsonEscape(loop.var) + "\",";
+    out += "\"access\":\"" + JsonEscape(loop.access) + "\",";
     std::snprintf(buf, sizeof(buf),
                   "\"rows_in\":%" PRIu64 ",\"rows_out\":%" PRIu64 "}",
                   loop.rows_in, loop.rows_out);

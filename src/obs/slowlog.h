@@ -25,10 +25,12 @@ namespace mdm::obs {
 /// — re-used here so a slow join shows WHICH loop exploded.
 
 /// Per-loop actuals for one executed query statement, outermost loop
-/// first. rows_in = bindings the loop enumerated; rows_out = bindings
-/// that survived the conjuncts pushed down to that loop.
+/// first. access = how the loop enumerated ("scan", "index" or
+/// "ordering"); rows_in = bindings the loop enumerated; rows_out =
+/// bindings that survived the conjuncts pushed down to that loop.
 struct SlowQueryLoop {
   std::string var;
+  std::string access;
   uint64_t rows_in = 0;
   uint64_t rows_out = 0;
 };

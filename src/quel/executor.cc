@@ -320,8 +320,26 @@ class NestedLoopJoin {
             return inner.ok();
           }));
     } else {
-      bool probed = false;
-      if (var.index != nullptr) {
+      auto visit = [&](EntityId id) {
+        if (stats_ != nullptr) {
+          stats_->rows_scanned.fetch_add(1, std::memory_order_relaxed);
+          QuelCounters::Get().rows_scanned->Inc();
+        }
+        Binding b;
+        b.entity = id;
+        bindings_[key] = b;
+        inner = Descend(depth + 1);
+        return inner.ok();
+      };
+      bool driven = false;
+      if (var.slice_qual != nullptr) {
+        // Ordering access path: the anchor is bound by an outer loop,
+        // and the slice yields exactly the entities its conjunct admits.
+        driven = true;
+        const EntityId anchor = bindings_.at(var.slice_anchor).entity;
+        MDM_RETURN_IF_ERROR(db_->ForEachInOrderingSlice(
+            var.slice_ordering, var.slice, anchor, var.type_index, visit));
+      } else if (var.index != nullptr) {
         // Index-backed loop: evaluate the key over the outer bindings
         // and enumerate only matching candidates. A null key falls
         // through to the scan (nulls are never indexed, but
@@ -329,39 +347,19 @@ class NestedLoopJoin {
         // scan path sees those rows).
         MDM_ASSIGN_OR_RETURN(Value probe_key, eval.Eval(*var.index_key));
         if (!probe_key.is_null()) {
-          probed = true;
+          driven = true;
           std::vector<EntityId> candidates;
           {
             obs::Span span("quel.index_probe", IndexProbeDuration(),
                            IndexProbeSelf());
             candidates = db_->IndexLookup(*var.index, probe_key);
           }
-          for (EntityId id : candidates) {
-            if (stats_ != nullptr) {
-              stats_->rows_scanned.fetch_add(1, std::memory_order_relaxed);
-              QuelCounters::Get().rows_scanned->Inc();
-            }
-            Binding b;
-            b.entity = id;
-            bindings_[key] = b;
-            inner = Descend(depth + 1);
-            if (!inner.ok()) break;
-          }
+          for (EntityId id : candidates)
+            if (!visit(id)) break;
         }
       }
-      if (!probed) {
-        MDM_RETURN_IF_ERROR(db_->ForEachEntity(var.type, [&](EntityId id) {
-          if (stats_ != nullptr) {
-            stats_->rows_scanned.fetch_add(1, std::memory_order_relaxed);
-            QuelCounters::Get().rows_scanned->Inc();
-          }
-          Binding b;
-          b.entity = id;
-          bindings_[key] = b;
-          inner = Descend(depth + 1);
-          return inner.ok();
-        }));
-      }
+      if (!driven)
+        MDM_RETURN_IF_ERROR(db_->ForEachEntity(var.type, visit));
     }
     bindings_.erase(key);
     return inner;
@@ -874,6 +872,7 @@ Result<ResultSet> RunQueryImpl(
     for (size_t i = 0; i < plan.vars.size(); ++i) {
       StatementActuals::Loop loop;
       loop.var = plan.vars[i].name;
+      loop.access = AccessPathName(plan.vars[i]);
       loop.rows_in = actual.calls[i + 1];
       loop.rows_out = actual.passed[i + 1];
       actuals_out->loops.push_back(std::move(loop));

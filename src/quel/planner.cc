@@ -211,6 +211,57 @@ void SelectIndexProbe(
   }
 }
 
+/// Picks an ordering access path for entity loop `var` (PlannedVar):
+/// the first top-level ordering conjunct relating `var` to a distinct
+/// variable bound by an outer loop, in a direction the slice can
+/// enumerate — descendants for `var under w`, sibling prefix/suffix for
+/// `var before/after w` and their mirrors. `w under var` (an ancestor
+/// walk) does not drive. Returns the consumed conjunct, or nullptr.
+/// Relationship operands never get here: BindOrderHandles rejects them.
+const Qual* SelectOrderingSlice(const Database* db,
+                                const std::vector<const Qual*>& conjuncts,
+                                const std::set<std::string>& bound,
+                                const Plan& plan, PlannedVar* var) {
+  for (const Qual* c : conjuncts) {
+    if (c->kind != Qual::Kind::kOrder) continue;
+    const std::string v1 = AsciiLower(c->order_var1);
+    const std::string v2 = AsciiLower(c->order_var2);
+    if (v1 == v2) continue;
+    er::OrderingSlice slice;
+    if (v1 == var->name && bound.count(v2) != 0) {
+      var->slice_anchor = v2;
+      slice = c->order_op == OrderOp::kUnder    ? er::OrderingSlice::kDescendants
+              : c->order_op == OrderOp::kBefore ? er::OrderingSlice::kBefore
+                                                : er::OrderingSlice::kAfter;
+    } else if (v2 == var->name && bound.count(v1) != 0 &&
+               c->order_op != OrderOp::kUnder) {
+      // `w before var` is `var after w`, and vice versa.
+      var->slice_anchor = v1;
+      slice = c->order_op == OrderOp::kBefore ? er::OrderingSlice::kAfter
+                                              : er::OrderingSlice::kBefore;
+    } else {
+      continue;
+    }
+    const er::EntityTypeDef* tdef = db->schema().FindEntityType(var->type);
+    var->slice_qual = c;
+    var->slice_ordering = plan.order_handles.at(c);
+    var->slice = slice;
+    var->type_index =
+        static_cast<uint32_t>(tdef - db->schema().entity_types().data());
+    return c;
+  }
+  return nullptr;
+}
+
+const char* SliceOpText(er::OrderingSlice slice) {
+  switch (slice) {
+    case er::OrderingSlice::kDescendants: return "under";
+    case er::OrderingSlice::kBefore: return "before";
+    case er::OrderingSlice::kAfter: return "after";
+  }
+  return "?";
+}
+
 /// Renders a qualification; with a database + plan, ordering operators
 /// carry their resolved ordering names and index annotations (the
 /// explain output). Both may be null for a plain deparse.
@@ -284,6 +335,12 @@ std::string QualToString(const Qual& q) {
   return RenderQual(nullptr, nullptr, q);
 }
 
+const char* AccessPathName(const PlannedVar& var) {
+  if (var.slice_qual != nullptr) return "ordering";
+  if (var.index != nullptr) return "index";
+  return "scan";
+}
+
 Result<Plan> PlanQuery(Database* db,
                        const std::map<std::string, std::string>& ranges,
                        const Statement& stmt, bool pushdown) {
@@ -355,16 +412,31 @@ Result<Plan> PlanQuery(Database* db,
   for (const PlannedVar& var : plan.vars)
     types[var.name] = {var.type, var.is_relationship};
 
-  // Index probe selection, in loop order: each entity loop may be
-  // driven by an equality conjunct whose key side is bound by outer
+  // Bind every ordering operator to a resolved handle, once.
+  if (stmt.qual != nullptr)
+    MDM_RETURN_IF_ERROR(BindOrderHandles(db, types, *stmt.qual, &plan));
+
+  // Access path selection, in loop order: each entity loop may be
+  // driven by an ordering slice under an outer binding or, failing
+  // that, by an equality conjunct whose key side is bound by outer
   // loops (index selection for literal keys, index-nested-loop join for
   // outer-variable keys). Runs after the sort so "bound" is final; the
-  // naive plan never probes — it is the ablation baseline.
+  // naive plan never uses either — it is the ablation baseline — and a
+  // disabled ordering index turns the slices off.
+  std::set<const Qual*> consumed;
   if (pushdown) {
     std::set<std::string> bound;
     for (PlannedVar& var : plan.vars) {
-      if (!var.is_relationship)
-        SelectIndexProbe(db, types, conjuncts, bound, &var);
+      if (!var.is_relationship) {
+        const Qual* slice_qual =
+            db->ordering_index_enabled()
+                ? SelectOrderingSlice(db, conjuncts, bound, plan, &var)
+                : nullptr;
+        if (slice_qual != nullptr)
+          consumed.insert(slice_qual);
+        else
+          SelectIndexProbe(db, types, conjuncts, bound, &var);
+      }
       bound.insert(var.name);
     }
   }
@@ -373,6 +445,7 @@ Result<Plan> PlanQuery(Database* db,
   // are all bound (depth 0 = constant). Without pushdown everything
   // evaluates at the innermost level.
   for (const Qual* c : conjuncts) {
+    if (consumed.count(c) != 0) continue;
     PlannedConjunct pc;
     pc.qual = c;
     if (pushdown) {
@@ -386,10 +459,6 @@ Result<Plan> PlanQuery(Database* db,
     }
     plan.conjuncts.push_back(pc);
   }
-
-  // Bind every ordering operator to a resolved handle, once.
-  if (stmt.qual != nullptr)
-    MDM_RETURN_IF_ERROR(BindOrderHandles(db, types, *stmt.qual, &plan));
   return plan;
 }
 
@@ -424,7 +493,11 @@ std::string RenderPlan(const Database& db, const Statement& stmt,
     out += StrFormat("  loop %zu: %s is %s (~%llu rows)", v + 1,
                      var.name.c_str(), var.type.c_str(),
                      (unsigned long long)var.cardinality);
-    if (var.index != nullptr)
+    if (var.slice_qual != nullptr)
+      out += StrFormat(" via ordering %s (%s %s)",
+                       db.ordering_def(var.slice_ordering).name.c_str(),
+                       SliceOpText(var.slice), var.slice_anchor.c_str());
+    else if (var.index != nullptr)
       out += StrFormat(" via index %s(%s)", var.index->def.name.c_str(),
                        var.index->def.attr.c_str());
     if (actual != nullptr) {

@@ -35,11 +35,32 @@ struct PlannedVar {
   // / database and are valid for the statement's execution.
   const er::AttrIndex* index = nullptr;
   const Expr* index_key = nullptr;
+  // Ordering access path (nullptr slice_qual = none). When a top-level
+  // conjunct `var under w in O`, `var before w` / `var after w`, or the
+  // mirrored `w after var` / `w before var`, has its other operand w
+  // bound by an outer loop, this loop enumerates exactly the entities
+  // the conjunct admits, straight from O's S-edges
+  // (Database::ForEachInOrderingSlice), instead of scanning the type
+  // extent. The slice is exact, so the conjunct is consumed: it leaves
+  // the filter list. A slice beats an index probe (it is bounded by one
+  // parent's subtree, a probe spans the corpus), and the probe's
+  // conjunct stays a filter. Conjuncts inside or/not, self pairs and
+  // relationship operands never drive a loop. Both ablations (the naive
+  // plan and a disabled ordering index) keep the scan.
+  const Qual* slice_qual = nullptr;
+  er::OrderingHandle slice_ordering;
+  er::OrderingSlice slice = er::OrderingSlice::kDescendants;
+  std::string slice_anchor;  // w, lowercased
+  uint32_t type_index = 0;   // `type` in ErSchema::entity_types()
 };
+
+/// How a planned loop enumerates its candidates: "ordering", "index"
+/// or "scan" (explain, StatementActuals, the slow-query log).
+const char* AccessPathName(const PlannedVar& var);
 
 /// One top-level AND conjunct: evaluated as soon as the first `depth`
 /// loop variables are bound (depth 0 = constant, tested before any
-/// loop).
+/// loop). Conjuncts consumed by an ordering access path are not listed.
 struct PlannedConjunct {
   const Qual* qual = nullptr;
   size_t depth = 0;

@@ -148,6 +148,7 @@ struct ExecCounters {
 struct StatementActuals {
   struct Loop {
     std::string var;       // planned range variable (lowercased)
+    std::string access;    // "scan", "index" or "ordering" (AccessPathName)
     uint64_t rows_in = 0;  // bindings the loop enumerated
     uint64_t rows_out = 0; // bindings surviving its pushed-down filters
   };
@@ -185,9 +186,11 @@ struct StatementActuals {
 /// Execution goes through a small planner (quel/planner.h): range
 /// variables are ordered by selectivity and estimated cardinality,
 /// top-level AND conjuncts are pushed down to the outermost loop level
-/// at which their variables are bound, and every ordering operator is
-/// bound to a resolved er::OrderingHandle once per statement. Parsed
-/// scripts are cached by text, so repeated Execute calls skip the
+/// at which their variables are bound, every ordering operator is
+/// bound to a resolved er::OrderingHandle once per statement, and a
+/// loop whose `under`/`before`/`after` conjunct has its other operand
+/// bound outside enumerates that ordering slice instead of its extent.
+/// Parsed scripts are cached by text, so repeated Execute calls skip the
 /// lexer/parser entirely. `explain retrieve` renders the plan without
 /// running it.
 ///

@@ -581,6 +581,99 @@ TEST(QuelConcurrency, ReadersCompleteWhileWriterHoldsExclusiveLatch) {
 }
 
 // ----------------------------------------------------------------------
+// Ordering access paths read the pinned snapshot's S-edges. A writer
+// holds the exclusive latch mid-way through a batch of appends under
+// one staff; a reader meanwhile runs `under` and `after` loops driven
+// by note_on_staff. It must enumerate exactly its snapshot's children,
+// in order, with the driven loop's rows_in equal to that fan-out, and
+// without rebuilding the interval index. Once the batch publishes, the
+// same queries see the appended notes.
+// ----------------------------------------------------------------------
+TEST(QuelConcurrency, OrderingSliceReadsExactlyThePinnedSnapshot) {
+  Database db;
+  ASSERT_TRUE(ddl::ExecuteDdl(R"(
+    define entity STAFF (name = integer)
+    define entity NOTE (name = integer)
+    define ordering note_on_staff (NOTE) under STAFF
+  )",
+                              &db)
+                  .ok());
+  OrderingHandle h = *db.ResolveOrderingHandle("note_on_staff");
+  constexpr int kPinned = 5;
+  constexpr int kBatch = 10;
+  EntityId staff;
+  {
+    er::WriteGuard w(db);
+    staff = MustCreate(&db, "STAFF", 1);
+    for (int n = 0; n < kPinned; ++n)
+      ASSERT_TRUE(w->AppendChild(h, staff, MustCreate(&db, "NOTE", n)).ok());
+  }
+
+  const char* kUnder =
+      "range of n is NOTE range of s is STAFF retrieve (n.name) "
+      "where n under s in note_on_staff and s.name = 1";
+  const char* kAfter =
+      "range of n1, n2 is NOTE retrieve (n1.name) "
+      "where n1 after n2 in note_on_staff and n2.name = 2";
+  struct Read {
+    std::vector<int64_t> names;
+    quel::StatementActuals actuals;
+    uint64_t rows_scanned = 0;
+  };
+  auto run = [&](const char* query, Read* out) {
+    mdm::Connection conn = mdm::Connection::Local(&db);
+    conn.local_session()->set_collect_actuals(true);
+    auto rs = conn.Execute(query);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    for (const auto& row : rs->rows) out->names.push_back(row[0].AsInt());
+    out->actuals = conn.local_session()->TakeLastActuals();
+    out->rows_scanned = conn.local_stats().rows_scanned;
+  };
+
+  Read under_pinned, after_pinned;
+  const uint64_t interval_rebuilds_before =
+      db.ordering_index_stats().interval_rebuilds;
+  {
+    er::WriteGuard w(db);
+    for (int n = 0; n < kBatch; ++n)
+      ASSERT_TRUE(
+          w->AppendChild(h, staff, MustCreate(&db, "NOTE", 100 + n)).ok());
+    // The reader runs while the batch is unpublished and the latch held.
+    std::thread reader([&] {
+      run(kUnder, &under_pinned);
+      run(kAfter, &after_pinned);
+    });
+    reader.join();
+  }
+
+  EXPECT_EQ(under_pinned.names, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  ASSERT_EQ(under_pinned.actuals.loops.size(), 2u);
+  EXPECT_EQ(under_pinned.actuals.loops[1].var, "n");
+  EXPECT_EQ(under_pinned.actuals.loops[1].access, "ordering");
+  EXPECT_EQ(under_pinned.actuals.loops[1].rows_in,
+            static_cast<uint64_t>(kPinned));
+  // One STAFF scanned, then exactly the pinned fan-out.
+  EXPECT_EQ(under_pinned.rows_scanned, 1u + kPinned);
+  // The snapshot's suffix after note 2: two notes, the batch invisible.
+  EXPECT_EQ(after_pinned.names, (std::vector<int64_t>{3, 4}));
+  ASSERT_EQ(after_pinned.actuals.loops.size(), 2u);
+  EXPECT_EQ(after_pinned.actuals.loops[1].access, "ordering");
+  EXPECT_EQ(after_pinned.actuals.loops[1].rows_in, 2u);
+  EXPECT_EQ(db.ordering_index_stats().interval_rebuilds,
+            interval_rebuilds_before);
+
+  Read under_published, after_published;
+  run(kUnder, &under_published);
+  run(kAfter, &after_published);
+  EXPECT_EQ(under_published.names.size(),
+            static_cast<size_t>(kPinned + kBatch));
+  EXPECT_EQ(under_published.actuals.loops[1].rows_in,
+            static_cast<uint64_t>(kPinned + kBatch));
+  EXPECT_EQ(after_published.names.size(), 2u + kBatch);
+  EXPECT_EQ(after_published.names.back(), 100 + kBatch - 1);
+}
+
+// ----------------------------------------------------------------------
 // WAL group commit under real contention: N committer threads against
 // one journaled database with the coordinator attached. Every append
 // must be durable after recovery, and the number of fsync batches the

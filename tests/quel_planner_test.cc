@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
 #include <regex>
 #include <string>
 #include <utility>
@@ -215,13 +216,66 @@ TEST_F(QuelPlannerTest, PlanOrdersBySelectivityThenCardinality) {
   EXPECT_EQ(plan->vars[0].cardinality, 2u);
   EXPECT_EQ(plan->vars[1].name, "note");
   EXPECT_EQ(plan->vars[1].cardinality, 7u);
-  // The single conjunct evaluates once both are bound, with a handle
+  // The single conjunct drives the inner loop as an ordering slice under
+  // the outer binding (so it leaves the filter list), with a handle
   // bound at plan time.
-  ASSERT_EQ(plan->conjuncts.size(), 1u);
-  EXPECT_EQ(plan->conjuncts[0].depth, 2u);
+  EXPECT_TRUE(plan->conjuncts.empty());
+  EXPECT_STREQ(AccessPathName(plan->vars[0]), "scan");
+  EXPECT_STREQ(AccessPathName(plan->vars[1]), "ordering");
+  EXPECT_EQ(plan->vars[1].slice_anchor, "chord");
+  EXPECT_EQ(plan->vars[1].slice, er::OrderingSlice::kDescendants);
   ASSERT_EQ(plan->order_handles.size(), 1u);
+  EXPECT_EQ(plan->vars[1].slice_ordering, plan->order_handles.begin()->second);
   EXPECT_EQ(db_.ordering_def(plan->order_handles.begin()->second).name,
             "note_in_chord");
+  // The naive plan keeps the scan and evaluates the conjunct innermost.
+  auto naive = PlanQuery(&db_, {}, (*stmts)[0], /*pushdown=*/false);
+  ASSERT_TRUE(naive.ok());
+  ASSERT_EQ(naive->conjuncts.size(), 1u);
+  EXPECT_EQ(naive->conjuncts[0].depth, 2u);
+  EXPECT_STREQ(AccessPathName(naive->vars[1]), "scan");
+}
+
+TEST_F(QuelPlannerTest, OrderingSliceDrivesOnlyEligibleConjuncts) {
+  std::map<std::string, std::string> ranges = {
+      {"n1", "NOTE"}, {"n2", "NOTE"}, {"c", "CHORD"}};
+  // Plans borrow the statement AST, so the statements outlive them.
+  std::list<std::vector<Statement>> parsed;
+  auto plan_for = [&](const std::string& qual) {
+    auto stmts = ParseQuel("retrieve (n1.name) where " + qual);
+    EXPECT_TRUE(stmts.ok()) << qual;
+    parsed.push_back(std::move(*stmts));
+    auto plan = PlanQuery(&db_, ranges, parsed.back()[0], true);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return std::move(*plan);
+  };
+  // Mirrored sibling conjunct: `n2 after n1` with n2 bound drives n1 as
+  // the prefix of n2's sibling list.
+  Plan mirrored = plan_for("n2.name = 30 and n2 after n1 in note_in_chord");
+  ASSERT_EQ(mirrored.vars[1].name, "n1");
+  EXPECT_EQ(mirrored.vars[1].slice, er::OrderingSlice::kBefore);
+  EXPECT_EQ(mirrored.vars[1].slice_anchor, "n2");
+  EXPECT_EQ(mirrored.conjuncts.size(), 1u);  // only n2.name = 30
+  // Inside or/not, an ordering conjunct never drives.
+  for (const char* qual :
+       {"n2.name = 30 and (n1 before n2 in note_in_chord or n1.name = 1)",
+        "n2.name = 30 and not (n1 before n2 in note_in_chord)"}) {
+    Plan p = plan_for(qual);
+    EXPECT_STREQ(AccessPathName(p.vars[1]), "scan") << qual;
+  }
+  // With n1 bound first, `n1 under c` would need an ancestor walk to
+  // enumerate c, which is not an access path.
+  Plan upward = plan_for("n1.name = 10 and n1 under c in note_in_chord");
+  ASSERT_EQ(upward.vars[0].name, "n1");
+  EXPECT_STREQ(AccessPathName(upward.vars[1]), "scan");
+  // Self pairs never drive.
+  Plan self = plan_for("n1 before n1 in note_in_chord");
+  EXPECT_STREQ(AccessPathName(self.vars[0]), "scan");
+  // A disabled ordering index keeps the scan.
+  db_.EnableOrderingIndex(false);
+  Plan ablated = plan_for("n2.name = 30 and n1 before n2 in note_in_chord");
+  EXPECT_STREQ(AccessPathName(ablated.vars[1]), "scan");
+  db_.EnableOrderingIndex(true);
 }
 
 TEST_F(QuelPlannerTest, PlanBindsOrderingInsideOrAndNot) {
@@ -283,8 +337,8 @@ TEST_F(QuelPlannerTest, ExplainGolden) {
             "  ordering index: on\n"
             "  loop 1: n2 is NOTE (~7 rows)\n"
             "    filter: n2.name = 30\n"
-            "  loop 2: n1 is NOTE (~7 rows)\n"
-            "    filter: n1 before n2 in note_in_chord [rank index]\n"
+            "  loop 2: n1 is NOTE (~7 rows)"
+            " via ordering note_in_chord (before n2)\n"
             "  emit: n1.name\n");
   EXPECT_TRUE(rs->rows.empty());
 }
@@ -303,8 +357,7 @@ TEST_F(QuelPlannerTest, ExplainUnderShowsIntervalIndexAndAblation) {
             "  ordering index: on\n"
             "  loop 1: s is SECTION (~2 rows)\n"
             "    filter: s.name = 1\n"
-            "  loop 2: n is NOTE (~7 rows)\n"
-            "    filter: n under s in sec_tree [interval index]\n"
+            "  loop 2: n is NOTE (~7 rows) via ordering sec_tree (under s)\n"
             "  emit: count(n)\n");
   db_.EnableOrderingIndex(false);
   auto ablated = conn.Execute(query);
@@ -312,6 +365,8 @@ TEST_F(QuelPlannerTest, ExplainUnderShowsIntervalIndexAndAblation) {
   EXPECT_NE(ablated->ToString().find("[linear scan]"), std::string::npos);
   EXPECT_NE(ablated->ToString().find("ordering index: off"),
             std::string::npos);
+  // The ablation restores the scan: the conjunct is a filter again.
+  EXPECT_EQ(ablated->ToString().find("via ordering"), std::string::npos);
 }
 
 TEST_F(QuelPlannerTest, ExplainNeverExecutes) {
@@ -356,8 +411,9 @@ TEST_F(QuelPlannerTest, ExplainAnalyzeGolden) {
       where n1 before n2 in note_in_chord and n2.name = 30
   )");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  // 7 notes scanned per loop; n2.name = 30 passes once, and two notes
-  // (10, 20) precede note 30 in its chord.
+  // n2 scans all 7 notes and n2.name = 30 passes once; n1 then
+  // enumerates only the two notes (10, 20) preceding note 30 in its
+  // chord, so the consumed `before` conjunct is no longer a filter.
   EXPECT_EQ(ScrubTimes(rs->ToString()),
             "plan: retrieve (analyze)\n"
             "  pushdown: on\n"
@@ -365,9 +421,9 @@ TEST_F(QuelPlannerTest, ExplainAnalyzeGolden) {
             "  loop 1: n2 is NOTE (~7 rows) [actual: in=7 out=1, "
             "self=Xns]\n"
             "    filter: n2.name = 30\n"
-            "  loop 2: n1 is NOTE (~7 rows) [actual: in=7 out=2, "
+            "  loop 2: n1 is NOTE (~7 rows)"
+            " via ordering note_in_chord (before n2) [actual: in=2 out=2, "
             "self=Xns]\n"
-            "    filter: n1 before n2 in note_in_chord [rank index]\n"
             "  emit: n1.name [actual: rows=2, time=Xns]\n"
             "  actual: join=Xns, statement=Xns\n");
   EXPECT_TRUE(rs->rows.empty());
@@ -406,9 +462,10 @@ TEST_F(QuelPlannerTest, ExplainAnalyzeTimesSumToStatement) {
   )");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   const std::string text = rs->ToString();
-  // Per-loop actual row counts: both loops scan all 10k notes once.
+  // Per-loop actual row counts: b2 scans all 10k notes once; b1 walks
+  // only the 50 siblings preceding note 50 in its chord.
   EXPECT_NE(text.find("in=10000 out=1,"), std::string::npos) << text;
-  EXPECT_NE(text.find("in=10000 out=50,"), std::string::npos) << text;
+  EXPECT_NE(text.find("in=50 out=50,"), std::string::npos) << text;
   // The per-loop self times plus the emit time reconstruct the join
   // total exactly, and the join dominates the reported statement
   // latency (within 10%) on a database this size.
@@ -471,8 +528,9 @@ TEST_F(QuelPlannerTest, ExecStatsAndParseCache) {
   const ExecStats after_first = conn.local_stats();
   EXPECT_EQ(after_first.statements, 2u);  // range + retrieve
   EXPECT_EQ(after_first.plan_cache_hits, 0u);
-  // n2 loops over all 7 notes; n1 only under the surviving binding.
-  EXPECT_EQ(after_first.rows_scanned, 14u);
+  // n2 loops over all 7 notes; n1 enumerates only the two notes that
+  // precede the surviving binding in its chord.
+  EXPECT_EQ(after_first.rows_scanned, 9u);
   EXPECT_GT(after_first.conjuncts_evaluated, 0u);
 
   auto second = conn.Execute(query);

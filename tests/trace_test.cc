@@ -183,8 +183,8 @@ TEST(SlowQueryLogTest, RecordRendersGoldenJson) {
   r.latency_us = 1234;
   r.rows = 2;
   r.affected = 0;
-  r.loops.push_back({"n1", 200, 14});
-  r.loops.push_back({"n2", 1400, 2});
+  r.loops.push_back({"n1", "index", 200, 14});
+  r.loops.push_back({"n2", "ordering", 1400, 2});
   EXPECT_EQ(
       obs::RenderSlowQueryJson(r),
       "{\"seq\":3,"
@@ -192,8 +192,10 @@ TEST(SlowQueryLogTest, RecordRendersGoldenJson) {
       "\"script\":\"retrieve (n.name)\\nwhere n.name = \\\"x\\\"\","
       "\"trace_id\":\"00000000deadbeef\",\"sampled\":true,"
       "\"latency_us\":1234,\"rows\":2,\"affected\":0,\"error\":\"OK\","
-      "\"loops\":[{\"var\":\"n1\",\"rows_in\":200,\"rows_out\":14},"
-      "{\"var\":\"n2\",\"rows_in\":1400,\"rows_out\":2}]}");
+      "\"loops\":[{\"var\":\"n1\",\"access\":\"index\",\"rows_in\":200,"
+      "\"rows_out\":14},"
+      "{\"var\":\"n2\",\"access\":\"ordering\",\"rows_in\":1400,"
+      "\"rows_out\":2}]}");
 }
 
 TEST(SlowQueryLogTest, SinkStampsSeqAndTruncatesScript) {
@@ -440,6 +442,9 @@ TEST_F(TraceServerTest, SlowQueryLogRecordsTraceIdAndPerLoopActuals) {
   // its variable with real row counts.
   EXPECT_NE(line.find("\"loops\":[{\"var\":\""), std::string::npos);
   EXPECT_NE(line.find("\"rows_in\":"), std::string::npos);
+  // n2 scans NOTE; n1 enumerates n2's earlier siblings in note_in_chord.
+  EXPECT_NE(line.find("\"access\":\"scan\""), std::string::npos);
+  EXPECT_NE(line.find("\"access\":\"ordering\""), std::string::npos);
   size_t first_var = line.find("{\"var\":\"");
   ASSERT_NE(first_var, std::string::npos);
   EXPECT_NE(line.find("{\"var\":\"", first_var + 1), std::string::npos);
