@@ -1,10 +1,9 @@
 // §5.6: the four ordering queries, run verbatim through QUEL. Measures
-// latency against chord size and database size, and two DESIGN.md
-// evaluation-strategy ablations: conjunct push-down versus the naive
-// full cross product, the ordering index (sibling ranks + Euler
-// intervals) versus the unindexed linear-scan/parent-walk path, and the
-// ordering access paths (loops driven from S-edges) versus the extent
-// scan as the corpus grows.
+// latency against chord size and database size; the DESIGN.md
+// evaluation-strategy ablation (conjunct push-down and the ordering
+// access paths versus the naive full cross product) as the corpus
+// grows; and the fig-1 analyzer/typesetter ops under a stream of note
+// inserts, which must not slow the ordering predicates down.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -15,6 +14,7 @@
 
 #include "bench_util.h"
 #include "common/strings.h"
+#include "er/session.h"
 #include "quel/quel.h"
 
 namespace {
@@ -88,33 +88,6 @@ void BM_BeforeQueryNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_BeforeQueryNaive)->Arg(4)->Arg(16)->Arg(64);
 
-// Ablation: the same queries with the ordering index disabled — every
-// `before` falls back to a linear sibling scan and every `under` to a
-// parent-chain walk.
-void BM_BeforeQueryUnindexed(benchmark::State& state) {
-  Database db = MakeChordDb(static_cast<int>(state.range(0)), 4);
-  db.EnableOrderingIndex(false);
-  mdm::quel::QuelSession session(&db);
-  for (auto _ : state) {
-    auto rs = session.Execute(kBeforeQuery);
-    if (!rs.ok()) state.SkipWithError("query failed");
-    benchmark::DoNotOptimize(rs->rows.size());
-  }
-}
-BENCHMARK(BM_BeforeQueryUnindexed)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_UnderQueryUnindexed(benchmark::State& state) {
-  Database db = MakeChordDb(static_cast<int>(state.range(0)), 4);
-  db.EnableOrderingIndex(false);
-  mdm::quel::QuelSession session(&db);
-  for (auto _ : state) {
-    auto rs = session.Execute(kUnderQuery);
-    if (!rs.ok()) state.SkipWithError("query failed");
-    benchmark::DoNotOptimize(rs->rows.size());
-  }
-}
-BENCHMARK(BM_UnderQueryUnindexed)->Arg(4)->Arg(16)->Arg(64);
-
 // Direct ordering-API equivalents (what a C++ client pays without the
 // query language).
 void BM_BeforeDirectApi(benchmark::State& state) {
@@ -151,31 +124,33 @@ double NsPerOp(F&& f, int iters) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
 }
 
-// A chain of `depth` SECTIONs under a recursive ordering; `under` on the
-// (leaf, root) pair costs O(depth) without the interval index.
-Database MakeDeepSectionDb(int depth, mdm::er::EntityId* root,
-                           mdm::er::EntityId* leaf) {
-  Database db;
-  auto ddl = mdm::ddl::ExecuteDdl(R"(
-    define entity SECTION (name = integer)
-    define ordering sec_tree (SECTION) under SECTION
-  )",
-                                  &db);
-  if (!ddl.ok()) std::abort();
-  mdm::er::EntityId parent = *db.CreateEntity("SECTION");
-  *root = parent;
-  for (int i = 1; i < depth; ++i) {
-    mdm::er::EntityId next = *db.CreateEntity("SECTION");
-    (void)db.AppendChild("sec_tree", parent, next);
-    parent = next;
-  }
-  *leaf = parent;
-  return db;
+// Wall-clock microseconds of one call of `f`.
+template <typename F>
+double UsOf(F&& f) {
+  return NsPerOp(f, 1) / 1000.0;
 }
+
+// The `q`-quantile of `samples` (sorted in place).
+double Quantile(std::vector<double>* samples, double q) {
+  std::sort(samples->begin(), samples->end());
+  return (*samples)[static_cast<size_t>(q * (samples->size() - 1))];
+}
+
+void AppendNote(Database* db, mdm::er::OrderingHandle h,
+                mdm::er::EntityId staff, int key, int degree) {
+  mdm::er::EntityId note = *db->CreateEntity("NOTE");
+  (void)db->SetAttribute(note, "midi_key", mdm::rel::Value::Int(key));
+  (void)db->SetAttribute(note, "degree", mdm::rel::Value::Int(degree));
+  (void)db->AppendChild(h, staff, note);
+}
+
+// Occurs once per staff, as fig-1's A1 keys are rare.
+constexpr int kRareKey = 100;
 
 // A staff-shaped corpus like the fig-1 scores: `staves` staves of
 // `per_staff` notes in note_on_staff, with STAFF(number) indexed so the
-// staff lookup itself stays flat as the corpus grows.
+// staff lookup itself stays flat as the corpus grows. Each staff's last
+// note carries kRareKey.
 Database MakeStaffDb(int staves, int per_staff) {
   Database db;
   auto ddl = mdm::ddl::ExecuteDdl(R"(
@@ -190,18 +165,22 @@ Database MakeStaffDb(int staves, int per_staff) {
   for (int s = 1; s <= staves; ++s) {
     mdm::er::EntityId staff = *db.CreateEntity("STAFF");
     (void)db.SetAttribute(staff, "number", mdm::rel::Value::Int(s));
-    for (int n = 0; n < per_staff; ++n) {
-      mdm::er::EntityId note = *db.CreateEntity("NOTE");
-      (void)db.SetAttribute(note, "midi_key",
-                            mdm::rel::Value::Int(48 + (n * 7) % 36));
-      (void)db.SetAttribute(note, "degree", mdm::rel::Value::Int(n % 7));
-      (void)db.AppendChild(h, staff, note);
-    }
+    for (int n = 0; n < per_staff; ++n)
+      AppendNote(&db, h, staff,
+                 n + 1 == per_staff ? kRareKey : 48 + (n * 7) % 36, n % 7);
   }
+  // Reads then run on a pinned snapshot, as they do in the server.
+  db.PublishSnapshot();
   return db;
 }
 
-// The analyzer (A2) and typesetter (T1) shapes of the fig-1 mix.
+// The analyzer (A1, A2) and typesetter (T1) shapes of the fig-1 mix.
+const std::string kA1Query = mdm::StrFormat(
+    "range of n1, n2 is NOTE range of s is STAFF "
+    "retrieve (c = count(n1)) where n1 before n2 in note_on_staff "
+    "and n2 under s in note_on_staff and s.number = 2 "
+    "and n2.midi_key = %d",
+    kRareKey);
 constexpr const char* kA2Query =
     "range of n is NOTE range of s is STAFF "
     "retrieve (c = count(n)) where n under s in note_on_staff "
@@ -211,44 +190,49 @@ constexpr const char* kT1Query =
     "retrieve (n.midi_key, n.degree) where n under s in note_on_staff "
     "and s.number = 2";
 
-// Ordering access paths vs the extent scan they replace: p50 latency and
-// bindings enumerated per A2/T1 query as the corpus grows at a fixed
-// fan-out of 400 notes per staff. With access paths on, both should
-// stay flat; with EnableOrderingIndex(false) they grow with the corpus.
+constexpr int kPerStaff = 400;
+
+// Corpus sizes for the two rows: 10^4 and 10^5 notes (smoke: 1200 and
+// 10^4), as staff counts at kPerStaff notes per staff.
+std::vector<int> StaffCounts(bool smoke) {
+  return smoke ? std::vector<int>{3, 25} : std::vector<int>{25, 250};
+}
+
+// Ordering access paths vs the naive plan's cross-product scan: p50
+// latency and bindings enumerated per A2/T1 query as the corpus grows
+// at a fixed fan-out of kPerStaff notes per staff. The access paths
+// should stay flat. The naive plan enumerates NOTE x STAFF, so it runs
+// on the smaller corpus only.
 std::string OrderingAccessRow(bool smoke) {
-  constexpr int kPerStaff = 400;
-  // Staff counts: 10^4 and 10^5 notes (smoke: 1200 and 10^4).
-  const std::vector<int> staff_counts =
-      smoke ? std::vector<int>{3, 25} : std::vector<int>{25, 250};
+  const std::vector<int> staff_counts = StaffCounts(smoke);
   const int iters = smoke ? 5 : 21;
+  const int naive_iters = smoke ? 1 : 5;
   std::string cases;
   for (int staves : staff_counts) {
     const int notes = staves * kPerStaff;
     Database db = MakeStaffDb(staves, kPerStaff);
-    for (bool on : {true, false}) {
-      db.EnableOrderingIndex(on);
+    for (bool naive : {false, true}) {
+      if (naive && staves != staff_counts.front()) continue;
       for (const auto& [shape, query] :
            {std::pair<const char*, const char*>{"A2", kA2Query},
             std::pair<const char*, const char*>{"T1", kT1Query}}) {
         mdm::quel::QuelSession session(&db);
-        (void)session.Execute(query);  // warm: parse cache, lazy indexes
+        auto run = [&, query = query] {
+          auto rs = naive ? session.ExecuteNaive(query)
+                          : session.Execute(query);
+          benchmark::DoNotOptimize(rs->size());
+        };
+        run();  // warm the parse cache
         session.ResetStats();
+        const int n = naive ? naive_iters : iters;
         std::vector<double> us;
-        for (int i = 0; i < iters; ++i)
-          us.push_back(NsPerOp(
-                           [&] {
-                             benchmark::DoNotOptimize(
-                                 session.Execute(query)->size());
-                           },
-                           1) /
-                       1000.0);
-        std::sort(us.begin(), us.end());
+        for (int i = 0; i < n; ++i) us.push_back(UsOf(run));
         if (!cases.empty()) cases += ", ";
         cases += mdm::StrFormat(
             "{\"shape\": \"%s\", \"notes\": %d, \"access\": \"%s\", "
             "\"p50_us\": %.1f, \"rows_scanned\": %llu}",
-            shape, notes, on ? "ordering" : "scan", us[us.size() / 2],
-            (unsigned long long)(session.stats().rows_scanned / iters));
+            shape, notes, naive ? "scan" : "ordering", Quantile(&us, 0.5),
+            (unsigned long long)(session.stats().rows_scanned / n));
       }
     }
   }
@@ -256,64 +240,70 @@ std::string OrderingAccessRow(bool smoke) {
          std::to_string(kPerStaff) + ", \"cases\": [" + cases + "]}";
 }
 
-// The acceptance comparison for the §5.6 structural indexes, emitted as
-// one JSON object so runs can be diffed: before/under predicate latency
-// on a 10k-note database, indexed versus the EnableOrderingIndex(false)
-// ablation, plus query-level and push-down numbers for context.
-void EmitBeforeAfterJson(bool smoke) {
-  constexpr int kPredIters = 20000;
+// A1 and T1 with and without insert churn: with churn, every round
+// first appends one note to the last staff (an editor's write, one
+// WriteGuard bracket), then times one A1 and one T1 on staff 2. The
+// ordering predicates read the snapshot's own edges, so a write
+// anywhere must not make the next read slower. Returns the row; writes
+// A1's p99-with-churn / p50-without ratio per corpus size to `ratios`.
+std::string InsertChurnRow(bool smoke, std::vector<double>* ratios) {
+  const int rounds = smoke ? 20 : 200;
+  std::string cases;
+  for (int staves : StaffCounts(smoke)) {
+    const int notes = staves * kPerStaff;
+    Database db = MakeStaffDb(staves, kPerStaff);
+    auto h = *db.ResolveOrderingHandle("note_on_staff");
+    mdm::er::EntityId last_staff = 0;
+    (void)db.ForEachEntity("STAFF", [&](mdm::er::EntityId id) {
+      last_staff = id;
+      return true;
+    });
+    mdm::quel::QuelSession session(&db);
+    double a1_p50_quiet = 0;
+    for (bool churn : {false, true}) {
+      std::vector<double> a1_us, t1_us;
+      for (int r = 0; r < rounds; ++r) {
+        if (churn) {
+          mdm::er::WriteGuard w(db);
+          AppendNote(w.db(), h, last_staff, 48 + r % 36, r % 7);
+        }
+        a1_us.push_back(UsOf([&] {
+          benchmark::DoNotOptimize(session.Execute(kA1Query)->size());
+        }));
+        t1_us.push_back(UsOf([&] {
+          benchmark::DoNotOptimize(session.Execute(kT1Query)->size());
+        }));
+      }
+      for (const auto& [shape, us] :
+           {std::pair<const char*, std::vector<double>*>{"A1", &a1_us},
+            std::pair<const char*, std::vector<double>*>{"T1", &t1_us}}) {
+        const double p50 = Quantile(us, 0.5);
+        const double p99 = Quantile(us, 0.99);
+        if (!cases.empty()) cases += ", ";
+        cases += mdm::StrFormat(
+            "{\"shape\": \"%s\", \"notes\": %d, \"churn\": %s, "
+            "\"p50_us\": %.1f, \"p99_us\": %.1f}",
+            shape, notes, churn ? "true" : "false", p50, p99);
+        if (std::string(shape) == "A1") {
+          if (!churn) a1_p50_quiet = p50;
+          else ratios->push_back(p99 / a1_p50_quiet);
+        }
+      }
+    }
+  }
+  return "{\"op\": \"insert_churn\", \"per_staff\": " +
+         std::to_string(kPerStaff) + ", \"rounds\": " +
+         std::to_string(rounds) + ", \"cases\": [" + cases + "]}";
+}
+
+// The §5.6 dashboard line, one JSON object so runs can be diffed:
+// push-down vs the naive plan, the ordering access paths as the corpus
+// grows, and the insert-churn row.
+void EmitJson(bool smoke) {
   constexpr int kQueryIters = 10;
-  // Registry deltas over the timed sections below (ordering-index hit
-  // rates, rows scanned, parse-cache hits) ride along in the JSON.
+  // Registry deltas over the timed sections below (rows scanned,
+  // parse-cache hits) ride along in the JSON.
   mdm::bench::MetricsSection metrics;
-
-  // `before` on the last two of 10000 siblings (a 10k-note score as one
-  // maximally wide chord): rank lookup vs a scan of the sibling list.
-  Database wide = MakeChordDb(1, 10000);
-  auto h = *wide.ResolveOrderingHandle("note_in_chord");
-  mdm::er::EntityId last_chord = 0;
-  (void)wide.ForEachEntity("CHORD", [&](mdm::er::EntityId id) {
-    last_chord = id;
-    return true;
-  });
-  std::vector<mdm::er::EntityId> kids = *wide.Children(h, last_chord);
-  mdm::er::EntityId a = kids[kids.size() - 2], b = kids.back();
-  (void)wide.Before(h, a, b);  // warm the rank index
-  double before_idx =
-      NsPerOp([&] { benchmark::DoNotOptimize(*wide.Before(h, a, b)); },
-              kPredIters);
-  wide.EnableOrderingIndex(false);
-  double before_scan =
-      NsPerOp([&] { benchmark::DoNotOptimize(*wide.Before(h, a, b)); },
-              kPredIters);
-  wide.EnableOrderingIndex(true);
-
-  // `under` on a 10k-deep recursive chain: interval test vs parent walk.
-  mdm::er::EntityId root = 0, leaf = 0;
-  Database deep = MakeDeepSectionDb(10000, &root, &leaf);
-  auto hs = *deep.ResolveOrderingHandle("sec_tree");
-  (void)deep.Under(hs, leaf, root);  // warm the interval index
-  double under_idx =
-      NsPerOp([&] { benchmark::DoNotOptimize(*deep.Under(hs, leaf, root)); },
-              kPredIters);
-  deep.EnableOrderingIndex(false);
-  double under_walk =
-      NsPerOp([&] { benchmark::DoNotOptimize(*deep.Under(hs, leaf, root)); },
-              kPredIters);
-  deep.EnableOrderingIndex(true);
-
-  // Query-level view of the same ablation: 10k notes as 100 chords of
-  // 100 (binding enumeration and attribute filters dilute the gap).
-  Database grid = MakeChordDb(100, 100);
-  mdm::quel::QuelSession session(&grid);
-  double q_before_idx = NsPerOp(
-      [&] { benchmark::DoNotOptimize(session.Execute(kBeforeQuery)->size()); },
-      kQueryIters);
-  grid.EnableOrderingIndex(false);
-  double q_before_scan = NsPerOp(
-      [&] { benchmark::DoNotOptimize(session.Execute(kBeforeQuery)->size()); },
-      kQueryIters);
-  grid.EnableOrderingIndex(true);
 
   // Push-down vs the naive cross product (small db: naive is quadratic).
   Database small = MakeChordDb(16, 4);
@@ -327,26 +317,19 @@ void EmitBeforeAfterJson(bool smoke) {
       },
       kQueryIters);
 
+  std::vector<double> ratios;
+  const std::string access = OrderingAccessRow(smoke);
+  const std::string churn = InsertChurnRow(smoke, &ratios);
   std::printf(
-      "BENCH_JSON {\"bench\": \"s56_quel_ordering_index\", "
-      "\"scale\": {\"notes\": 10000, \"chord_width\": 10000, "
-      "\"under_depth\": 10000}, \"results\": ["
-      "{\"op\": \"before_predicate\", \"indexed_ns\": %.1f, "
-      "\"unindexed_ns\": %.1f, \"speedup\": %.1f}, "
-      "{\"op\": \"under_predicate\", \"indexed_ns\": %.1f, "
-      "\"unindexed_ns\": %.1f, \"speedup\": %.1f}, "
-      "{\"op\": \"before_query\", \"indexed_ns\": %.0f, "
-      "\"unindexed_ns\": %.0f, \"speedup\": %.2f}, "
+      "BENCH_JSON {\"bench\": \"s56_quel\", \"results\": ["
       "{\"op\": \"pushdown_vs_naive\", \"planned_ns\": %.0f, "
-      "\"naive_ns\": %.0f, \"speedup\": %.1f}, %s], "
+      "\"naive_ns\": %.0f, \"speedup\": %.1f}, %s, %s], "
       "\"metrics\": {%s}}\n",
-      before_idx, before_scan, before_scan / before_idx, under_idx, under_walk,
-      under_walk / under_idx, q_before_idx, q_before_scan,
-      q_before_scan / q_before_idx, q_planned, q_naive, q_naive / q_planned,
-      OrderingAccessRow(smoke).c_str(), metrics.DeltaJson().c_str());
-  std::printf("acceptance (>=10x on indexed before/under predicates): "
-              "before %.1fx, under %.1fx\n\n",
-              before_scan / before_idx, under_walk / under_idx);
+      q_planned, q_naive, q_naive / q_planned, access.c_str(), churn.c_str(),
+      metrics.DeltaJson().c_str());
+  std::printf("acceptance (A1 p99 with churn <= 2x its churn-free p50):");
+  for (double r : ratios) std::printf(" %.2fx", r);
+  std::printf("\n\n");
 }
 
 }  // namespace
@@ -366,7 +349,7 @@ int main(int argc, char** argv) {
   std::printf("notes under chord 1:\n%s\n", rs->ToString().c_str());
   std::printf("expect: push-down ~linear in notes; naive cross product\n"
               "quadratic (the gap widens with database size).\n\n");
-  EmitBeforeAfterJson(smoke);
+  EmitJson(smoke);
   benchmark::Initialize(&argc, argv);
   if (!smoke) benchmark::RunSpecifiedBenchmarks();
   return 0;

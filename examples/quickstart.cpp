@@ -92,8 +92,8 @@ int main() {
     }
   }
 
-  // 4. `explain` renders the chosen plan — loop order, pushed-down
-  // filters, and which §5.6 structural index answers each operator.
+  // 4. `explain` renders the chosen plan — loop order, each loop's
+  // access path (here n1 walks n2's siblings) and pushed-down filters.
   auto plan = conn.Execute(
       "range of n1, n2 is NOTE\n"
       "explain retrieve (n1.name, n1.pitch)\n"

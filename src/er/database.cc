@@ -6,7 +6,6 @@
 #include "common/strings.h"
 #include "er/commit_coordinator.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 
 namespace mdm::er {
 
@@ -15,35 +14,7 @@ using rel::ValueType;
 
 namespace {
 
-/// Process-wide mirrors of the per-database OrderingIndexStats fields.
-struct ErCounters {
-  obs::Counter* rank_hits;
-  obs::Counter* rank_rebuilds;
-  obs::Counter* interval_hits;
-  obs::Counter* interval_rebuilds;
-  obs::Counter* linear_scans;
-  static const ErCounters& Get() {
-    static ErCounters c = {
-        obs::Registry::Global()->GetCounter(
-            "mdm_er_rank_hits_total",
-            "Sibling-rank lookups answered from a fresh rank index"),
-        obs::Registry::Global()->GetCounter(
-            "mdm_er_rank_rebuilds_total",
-            "Lazy rank-index rebuilds triggered by a lookup"),
-        obs::Registry::Global()->GetCounter(
-            "mdm_er_interval_hits_total",
-            "Containment checks answered from a fresh interval index"),
-        obs::Registry::Global()->GetCounter(
-            "mdm_er_interval_rebuilds_total",
-            "Lazy Euler-tour interval rebuilds"),
-        obs::Registry::Global()->GetCounter(
-            "mdm_er_linear_scans_total",
-            "Ordering predicates evaluated without an index (ablation)")};
-    return c;
-  }
-};
-
-/// Process-wide mirrors of the per-database AttrIndexStats fields.
+/// Secondary attribute index activity, process-wide.
 struct IndexCounters {
   obs::Counter* lookups;
   obs::Counter* inserts;
@@ -234,11 +205,11 @@ Database::Database() { PublishSnapshot(); }
 // ---------------------------------------------------------------------
 // Moves.
 //
-// Hand-written because the latch, the snap mutex, the atomic ablation
-// flags and the atomic stats are not movable. Moving is NOT
-// latch-protected: callers (mdmsh \load, persist's Restore) quiesce all
-// sessions first. The destination gets fresh synchronization state and
-// a copy of the counters; the source is left empty and reusable.
+// Hand-written because the latch, the snap mutex and the atomic flags
+// are not movable. Moving is NOT latch-protected: callers (mdmsh \load,
+// persist's Restore) quiesce all sessions first. The destination gets
+// fresh synchronization state and a copy of the flags; the source is
+// left empty and reusable.
 // Snapshots pinned from the source before the move stay readable (the
 // pin owns the Tables), but resolve against the source object only.
 // ---------------------------------------------------------------------
@@ -257,14 +228,9 @@ Database& Database::operator=(Database&& other) noexcept {
   published_ops_.store(other.published_ops_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
   writer_active_.store(false, std::memory_order_relaxed);
-  ordering_index_enabled_.store(
-      other.ordering_index_enabled_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  index_stats_.CopyFrom(other.index_stats_);
   attr_index_enabled_.store(
       other.attr_index_enabled_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
-  attr_stats_.CopyFrom(other.attr_stats_);
   bulk_index_load_.store(
       other.bulk_index_load_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
@@ -370,7 +336,7 @@ IndexMap* Database::MutableIndexes() {
 OrdState* Database::MutableOrd(size_t index) {
   std::shared_ptr<OrdState>& slot = live_.orderings[index];
   if (slot->gen != publish_gen_) {
-    auto fresh = std::make_shared<OrdState>(*slot);  // shares the cell
+    auto fresh = std::make_shared<OrdState>(*slot);
     fresh->gen = publish_gen_;
     slot = std::move(fresh);
   }
@@ -600,7 +566,6 @@ Status Database::DeleteEntity(EntityId id) {
       for (EntityId child : kids) ord->parent_of.Erase(child);
       ord->children.Erase(id);
     }
-    ++ord->version;
   }
 
   // Delete relationship instances that reference the entity.
@@ -865,98 +830,6 @@ bool Database::IsAncestor(const OrdState& ord, EntityId needle,
   return false;
 }
 
-// ---------------------------------------------------------------------
-// Lazy structural indexes (§5.6 execution).
-// ---------------------------------------------------------------------
-
-// Both accessors follow the same publish protocol. The caller hands in
-// the OrdState it is reading (live or pinned); its `version` stamps the
-// edge set exactly (versions advance only under the exclusive latch, so
-// version history is linear and equal versions mean equal edges). Under
-// the cell's publish_mu — the cell is shared between the live state and
-// every snapshot of it — either hand out the published index (if its
-// stamp matches) or rebuild from the caller's own children/parent_of.
-// Rebuilds republish only monotonically: a reader on a stale snapshot
-// keeps its private rebuild instead of clobbering a newer published
-// index. Rebuilds serialize on publish_mu — same as before, when it
-// doubled as the rebuild mutex.
-
-std::shared_ptr<const RankIndex> Database::RankIndexFor(
-    const OrdState& ord) const {
-  OrderingIndexCell* cell = ord.cell.get();
-  const uint64_t v = ord.version;
-  std::lock_guard<std::mutex> lock(cell->publish_mu);
-  if (cell->ranks != nullptr && cell->ranks->built_version == v) {
-    index_stats_.rank_hits.fetch_add(1, std::memory_order_relaxed);
-    ErCounters::Get().rank_hits->Inc();
-    return cell->ranks;
-  }
-  index_stats_.rank_rebuilds.fetch_add(1, std::memory_order_relaxed);
-  ErCounters::Get().rank_rebuilds->Inc();
-  auto fresh = std::make_shared<RankIndex>();
-  fresh->built_version = v;
-  ord.children.ForEach(
-      [&](EntityId parent, const std::shared_ptr<Sibs>& sibs) {
-        (void)parent;
-        for (size_t i = 0; i < sibs->ids.size(); ++i)
-          fresh->rank_of[sibs->ids[i]] = i;
-        return true;
-      });
-  if (cell->ranks == nullptr || cell->ranks->built_version < v)
-    cell->ranks = fresh;
-  return fresh;
-}
-
-std::shared_ptr<const IntervalIndex> Database::IntervalIndexFor(
-    const OrdState& ord) const {
-  OrderingIndexCell* cell = ord.cell.get();
-  const uint64_t v = ord.version;
-  std::lock_guard<std::mutex> lock(cell->publish_mu);
-  if (cell->intervals != nullptr && cell->intervals->built_version == v) {
-    index_stats_.interval_hits.fetch_add(1, std::memory_order_relaxed);
-    ErCounters::Get().interval_hits->Inc();
-    return cell->intervals;
-  }
-  obs::Span span("er.interval_rebuild");
-  index_stats_.interval_rebuilds.fetch_add(1, std::memory_order_relaxed);
-  ErCounters::Get().interval_rebuilds->Inc();
-  auto fresh = std::make_shared<IntervalIndex>();
-  fresh->built_version = v;
-  auto& interval_of = fresh->interval_of;
-  uint64_t clock = 0;
-  // Iterative Euler tour from every root (a parent that is nobody's
-  // child); recursion depth is unbounded in recursive orderings.
-  struct Frame {
-    EntityId node;
-    size_t next_child;
-  };
-  std::vector<EntityId> roots;
-  ord.children.ForEach([&](EntityId parent, const std::shared_ptr<Sibs>&) {
-    if (!ord.parent_of.Contains(parent)) roots.push_back(parent);
-    return true;
-  });
-  std::vector<Frame> stack;
-  for (EntityId root : roots) {
-    stack.push_back({root, 0});
-    interval_of[root].first = clock++;
-    while (!stack.empty()) {
-      Frame& top = stack.back();
-      const std::shared_ptr<Sibs>* kids = ord.children.Find(top.node);
-      if (kids != nullptr && top.next_child < (*kids)->ids.size()) {
-        EntityId next = (*kids)->ids[top.next_child++];
-        interval_of[next].first = clock++;
-        stack.push_back({next, 0});
-      } else {
-        interval_of[top.node].second = clock++;
-        stack.pop_back();
-      }
-    }
-  }
-  if (cell->intervals == nullptr || cell->intervals->built_version < v)
-    cell->intervals = fresh;
-  return fresh;
-}
-
 Status Database::CheckOrderedPairExists(EntityId a, EntityId b) const {
   if (FindEntity(a) == nullptr)
     return NotFound(StrFormat("no entity #%llu", (unsigned long long)a));
@@ -1015,7 +888,6 @@ Status Database::DoInsertChildAt(OrderingHandle h, EntityId parent,
                                 sibs->ids.size()));
   sibs->ids.insert(sibs->ids.begin() + pos, child);
   ord->parent_of.Insert(child, parent);
-  ++ord->version;
 
   ByteWriter payload;
   payload.PutString(def.name);
@@ -1063,7 +935,6 @@ Status Database::DoRemoveChild(OrderingHandle h, EntityId child) {
   sibs->ids.erase(std::remove(sibs->ids.begin(), sibs->ids.end(), child),
                   sibs->ids.end());
   ord->parent_of.Erase(child);
-  ++ord->version;
   ByteWriter payload;
   payload.PutString(def.name);
   payload.PutU64(child);
@@ -1126,17 +997,9 @@ Result<size_t> Database::PositionOf(OrderingHandle h, EntityId child) const {
   const OrdState& ord = *ReadTables().orderings[h.index()];
   const EntityId* parent = ord.parent_of.Find(child);
   if (parent != nullptr) {
-    if (ordering_index_enabled()) {
-      std::shared_ptr<const RankIndex> ranks = RankIndexFor(ord);
-      auto rit = ranks->rank_of.find(child);
-      if (rit != ranks->rank_of.end()) return rit->second;
-    } else {
-      index_stats_.linear_scans.fetch_add(1, std::memory_order_relaxed);
-      ErCounters::Get().linear_scans->Inc();
-      const std::vector<EntityId>& sibs = (*ord.children.Find(*parent))->ids;
-      for (size_t i = 0; i < sibs.size(); ++i)
-        if (sibs[i] == child) return i;
-    }
+    const std::vector<EntityId>& sibs = (*ord.children.Find(*parent))->ids;
+    auto it = std::find(sibs.begin(), sibs.end(), child);
+    if (it != sibs.end()) return static_cast<size_t>(it - sibs.begin());
   }
   return NotFound(StrFormat("entity #%llu is not ordered in %s",
                             (unsigned long long)child,
@@ -1177,24 +1040,13 @@ Result<bool> Database::Before(OrderingHandle h, EntityId a, EntityId b) const {
   const EntityId* pb = ord.parent_of.Find(b);
   // §5.6: entities with different parents are not comparable -> false.
   if (pa == nullptr || pb == nullptr || *pa != *pb) return false;
-  if (!ordering_index_enabled()) {
-    index_stats_.linear_scans.fetch_add(1, std::memory_order_relaxed);
-    ErCounters::Get().linear_scans->Inc();
-    const std::vector<EntityId>& sibs = (*ord.children.Find(*pa))->ids;
-    size_t ia = sibs.size(), ib = sibs.size();
-    for (size_t i = 0; i < sibs.size(); ++i) {
-      if (sibs[i] == a) ia = i;
-      if (sibs[i] == b) ib = i;
-    }
-    return ia < ib;
+  // Whichever of the two comes first in the shared sibling list decides
+  // (checking b first makes Before(a, a) false).
+  for (EntityId id : (*ord.children.Find(*pa))->ids) {
+    if (id == b) return false;
+    if (id == a) return true;
   }
-  // Both ranks come from ONE immutable snapshot, so the comparison can
-  // never mix pre- and post-mutation sibling orders.
-  std::shared_ptr<const RankIndex> ranks = RankIndexFor(ord);
-  auto ia = ranks->rank_of.find(a);
-  auto ib = ranks->rank_of.find(b);
-  if (ia == ranks->rank_of.end() || ib == ranks->rank_of.end()) return false;
-  return ia->second < ib->second;
+  return false;
 }
 
 Result<bool> Database::Before(const std::string& ordering, EntityId a,
@@ -1218,24 +1070,9 @@ Result<bool> Database::Under(OrderingHandle h, EntityId child,
   MDM_RETURN_IF_ERROR(CheckOrderedPairExists(child, parent));
   const OrdState& ord = *ReadTables().orderings[h.index()];
   if (child == parent) return false;
-  // Fast path: the direct parent needs no interval lookup.
+  // Multi-level containment: walk P-edges upward from the direct parent.
   const EntityId* direct = ord.parent_of.Find(child);
-  if (direct == nullptr) return false;
-  if (*direct == parent) return true;
-  if (!ordering_index_enabled()) {
-    // Ablation: multi-level containment by walking P-edges upward.
-    index_stats_.linear_scans.fetch_add(1, std::memory_order_relaxed);
-    ErCounters::Get().linear_scans->Inc();
-    return IsAncestor(ord, parent, *direct);
-  }
-  std::shared_ptr<const IntervalIndex> intervals = IntervalIndexFor(ord);
-  auto ci = intervals->interval_of.find(child);
-  auto pi = intervals->interval_of.find(parent);
-  if (ci == intervals->interval_of.end() ||
-      pi == intervals->interval_of.end())
-    return false;
-  return pi->second.first < ci->second.first &&
-         ci->second.second < pi->second.second;
+  return direct != nullptr && IsAncestor(ord, parent, *direct);
 }
 
 Result<bool> Database::Under(const std::string& ordering, EntityId child,
@@ -1267,9 +1104,9 @@ Status Database::ForEachInOrderingSlice(
   if (slice != OrderingSlice::kDescendants) {
     const EntityId* parent = ord.parent_of.Find(anchor);
     if (parent == nullptr) return Status::OK();
-    std::shared_ptr<const RankIndex> ranks = RankIndexFor(ord);
-    const size_t pos = ranks->rank_of.at(anchor);
     const std::vector<EntityId>& sibs = (*ord.children.Find(*parent))->ids;
+    const size_t pos =
+        std::find(sibs.begin(), sibs.end(), anchor) - sibs.begin();
     const size_t begin = slice == OrderingSlice::kBefore ? 0 : pos + 1;
     const size_t end = slice == OrderingSlice::kBefore ? pos : sibs.size();
     for (size_t i = begin; i < end; ++i)
@@ -1330,7 +1167,6 @@ Status Database::DefineIndex(AttrIndexDef def) {
 
   // Backfill from existing entities (nulls are never indexed). The tree
   // is not yet visible to any reader, so no probe lock is needed.
-  attr_stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
   IndexCounters::Get().rebuilds->Inc();
   auto by = live_.by_type->sets.find(AsciiUpper(tdef->name));
   if (by != live_.by_type->sets.end()) {
@@ -1338,7 +1174,6 @@ Status Database::DefineIndex(AttrIndexDef def) {
       const Value& v = (*live_.entities.Find(id))->attrs[ix->attr_slot];
       if (!v.is_null()) {
         ix->tree.Insert(AttrKeyFor(v), RidForEntity(id));
-        attr_stats_.inserts.fetch_add(1, std::memory_order_relaxed);
         IndexCounters::Get().inserts->Inc();
       }
       return true;
@@ -1393,7 +1228,6 @@ std::vector<EntityId> Database::IndexLookup(const AttrIndex& index,
                                             const Value& key) const {
   std::vector<EntityId> out;
   if (key.is_null()) return out;  // see header: callers scan for nulls
-  attr_stats_.lookups.fetch_add(1, std::memory_order_relaxed);
   IndexCounters::Get().lookups->Inc();
   const Tables& t = ReadTables();
   if (&t == &live_) {
@@ -1454,12 +1288,10 @@ void Database::AttrIndexOnSet(const EntityRecord& rec, uint32_t attr_slot,
         ix.tree.Erase(AttrKeyFor(old_value), RidForEntity(rec.id))) {
       ix.erase_epoch.fetch_add(1, std::memory_order_release);
       attr_erase_dirty_ = true;
-      attr_stats_.erases.fetch_add(1, std::memory_order_relaxed);
       IndexCounters::Get().erases->Inc();
     }
     if (!new_value.is_null()) {
       ix.tree.Insert(AttrKeyFor(new_value), RidForEntity(rec.id));
-      attr_stats_.inserts.fetch_add(1, std::memory_order_relaxed);
       IndexCounters::Get().inserts->Inc();
     }
   }
@@ -1478,7 +1310,6 @@ void Database::AttrIndexOnDelete(const EntityRecord& rec) {
     if (ix.tree.Erase(AttrKeyFor(v), RidForEntity(rec.id))) {
       ix.erase_epoch.fetch_add(1, std::memory_order_release);
       attr_erase_dirty_ = true;
-      attr_stats_.erases.fetch_add(1, std::memory_order_relaxed);
       IndexCounters::Get().erases->Inc();
     }
   }
@@ -1506,7 +1337,6 @@ Result<uint64_t> Database::EndBulkIndexLoad() {
     AttrIndex& ix = *slot.index;
     std::unique_lock<std::shared_mutex> probe(ix.probe_mu);
     ix.tree = storage::BTree();
-    attr_stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
     IndexCounters::Get().rebuilds->Inc();
     const std::string type_name =
         AsciiUpper(schema.entity_types()[ix.type_index].name);
@@ -1516,7 +1346,6 @@ Result<uint64_t> Database::EndBulkIndexLoad() {
         const Value& v = (*live_.entities.Find(id))->attrs[ix.attr_slot];
         if (!v.is_null()) {
           ix.tree.Insert(AttrKeyFor(v), RidForEntity(id));
-          attr_stats_.inserts.fetch_add(1, std::memory_order_relaxed);
           IndexCounters::Get().inserts->Inc();
         }
         return true;

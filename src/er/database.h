@@ -10,8 +10,6 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -52,28 +50,6 @@ struct RelationshipInstance {
   uint64_t gen = 0;
 };
 
-/// Counters for the per-ordering structural indexes (§5.6 execution).
-/// `rank_hits`/`interval_hits` are index lookups answered from the
-/// current published snapshot; `*_rebuilds` count snapshot rebuilds
-/// triggered by a lookup after a structural mutation retired the
-/// previous version; `linear_scans` counts predicate evaluations that
-/// bypassed the indexes (ablation mode). Under concurrency the counts
-/// are exact (relaxed atomics) but attribution across sessions is
-/// best-effort.
-///
-/// This struct is the per-Database view. Process-wide totals (and the
-/// rebuild latency histogram) live on the obs registry as
-/// mdm_er_*_total / mdm_span_duration_ns{span="er.interval_rebuild"};
-/// prefer those for monitoring — this accessor remains for per-instance
-/// attribution in tests and benches (see docs/OBSERVABILITY.md).
-struct OrderingIndexStats {
-  uint64_t rank_hits = 0;
-  uint64_t rank_rebuilds = 0;
-  uint64_t interval_hits = 0;
-  uint64_t interval_rebuilds = 0;
-  uint64_t linear_scans = 0;
-};
-
 /// The part of one ordering an access path enumerates, relative to an
 /// anchor entity (Database::ForEachInOrderingSlice).
 enum class OrderingSlice : uint8_t {
@@ -91,17 +67,6 @@ struct AttrIndexDef {
   std::string name;
   std::string entity_type;
   std::string attr;
-};
-
-/// Per-database counters for the secondary attribute indexes.
-/// Process-wide totals live on the obs registry as
-/// mdm_index_{lookups,inserts,erases,rebuilds}_total; this accessor
-/// remains for per-instance attribution in tests and benches.
-struct AttrIndexStats {
-  uint64_t lookups = 0;   // IndexLookup probes answered from a B+tree
-  uint64_t inserts = 0;   // entries added (mutations + backfill)
-  uint64_t erases = 0;    // entries removed (updates, deletes)
-  uint64_t rebuilds = 0;  // full backfills (define, restore, replay)
 };
 
 /// One live secondary index: its definition, the resolved schema slots
@@ -139,34 +104,6 @@ struct AttrIndex {
 // lock-free; versions retire automatically when the last pin drains.
 // ---------------------------------------------------------------------
 
-/// child -> 0-based rank among its siblings, for every ordered child of
-/// one ordering, valid for OrdState::version == built_version.
-struct RankIndex {
-  uint64_t built_version = 0;
-  std::unordered_map<EntityId, size_t> rank_of;
-};
-
-/// Euler-tour labels over the ordering forest: entity -> (entry, exit).
-/// `a` lies under `b` iff b.entry < a.entry && a.exit < b.exit.
-struct IntervalIndex {
-  uint64_t built_version = 0;
-  std::unordered_map<EntityId, std::pair<uint64_t, uint64_t>> interval_of;
-};
-
-/// The lazily published §5.6 index cache for one ordering, SHARED by
-/// the live tables and every snapshot of it (the cell pointer rides
-/// along on OrdState copies). Readers rebuild from their own OrdState
-/// when the published index's built_version does not match, and
-/// republish only monotonically — a stale-snapshot reader never
-/// clobbers a newer published index, it just keeps its private rebuild.
-/// One explicit mutex instead of atomic<shared_ptr>: see PR 7 notes in
-/// ROADMAP.md (libstdc++ _Sp_atomic vs TSan).
-struct OrderingIndexCell {
-  std::mutex publish_mu;
-  std::shared_ptr<const RankIndex> ranks;          // guarded by publish_mu
-  std::shared_ptr<const IntervalIndex> intervals;  // guarded by publish_mu
-};
-
 /// The ordered children of one parent in one ordering. Copy-on-write
 /// via `gen`, exactly like EntityRecord.
 struct Sibs {
@@ -174,19 +111,15 @@ struct Sibs {
   std::vector<EntityId> ids;
 };
 
-/// One ordering's instance edges. `version` advances on every S/P-edge
-/// mutation (it replaces the old cell epoch as the index staleness
-/// stamp and is meaningful across snapshots: equal versions mean equal
-/// edge sets, since version history is linear under the single-writer
-/// discipline).
+/// One ordering's instance edges — everything the §5.6 predicates
+/// read: a position is the child's offset in its parent's Sibs, and
+/// multi-level `under` walks parent_of upward.
 struct OrdState {
   uint64_t gen = 0;
-  uint64_t version = 1;
   // parent -> ordered children (the S-edge sequence).
   PMap<EntityId, std::shared_ptr<Sibs>> children;
   // child -> parent (the P-edge).
   PMap<EntityId, EntityId> parent_of;
-  std::shared_ptr<OrderingIndexCell> cell = std::make_shared<OrderingIndexCell>();
 };
 
 /// Entity ids are assigned monotonically, so key order doubles as
@@ -409,11 +342,13 @@ class Database {
   ///   * ok(true)     — the predicate holds.
   ///
   /// Before/After: `a` and `b` share a parent and a precedes/follows b
-  /// (O(1) via the sibling-rank index). Under: `child` lies below
-  /// `parent` at *any* depth along P-edges of this ordering — the
+  /// (one pass over that parent's sibling list). Under: `child` lies
+  /// below `parent` at *any* depth along P-edges of this ordering — the
   /// paper's multi-level reading, so in a recursive ordering a chord is
   /// `under` every enclosing beam group, not just its direct parent
-  /// (O(1) via Euler-tour interval containment).
+  /// (a walk up the P-edges, as deep as the hierarchy). All three read
+  /// the edges of the tables this thread reads, so under a
+  /// SnapshotReadScope they answer from the pinned snapshot.
   Result<bool> Before(const std::string& ordering, EntityId a,
                       EntityId b) const;
   Result<bool> Before(OrderingHandle h, EntityId a, EntityId b) const;
@@ -432,31 +367,11 @@ class Database {
   /// Before(h, x, anchor) / After(h, x, anchor) for kBefore / kAfter
   /// (the prefix / suffix of anchor's sibling list). Reads the S- and
   /// P-edges of the tables this thread reads, so under a
-  /// SnapshotReadScope the slice is exactly the pinned snapshot. Never
-  /// builds the interval index; sibling slices locate the anchor through
-  /// the rank index. NotFound if `anchor` does not exist. Stop early by
-  /// returning false.
+  /// SnapshotReadScope the slice is exactly the pinned snapshot.
+  /// NotFound if `anchor` does not exist. Stop early by returning false.
   Status ForEachInOrderingSlice(OrderingHandle h, OrderingSlice slice,
                                 EntityId anchor, uint32_t type_index,
                                 const std::function<bool(EntityId)>& fn) const;
-
-  /// Ablation switch for the §5.6 structural indexes. When disabled,
-  /// Before/After fall back to linear sibling scans and Under to an
-  /// upward P-edge walk (semantics are identical; only the cost
-  /// changes). Exposed for bench_s56_ordering_index. Toggling counts as
-  /// a mutation (take the latch exclusively around it).
-  void EnableOrderingIndex(bool on) {
-    ordering_index_enabled_.store(on, std::memory_order_relaxed);
-  }
-  bool ordering_index_enabled() const {
-    return ordering_index_enabled_.load(std::memory_order_relaxed);
-  }
-  /// Snapshot of the index counters (by value: the internals are
-  /// relaxed atomics bumped by concurrent readers under shared latch).
-  OrderingIndexStats ordering_index_stats() const {
-    return index_stats_.Snapshot();
-  }
-  void ResetOrderingIndexStats() { index_stats_.Reset(); }
 
   // ------------------------------------------------------------------
   // Secondary attribute indexes (§5.2 as physical design).
@@ -509,10 +424,6 @@ class Database {
   bool attr_index_enabled() const {
     return attr_index_enabled_.load(std::memory_order_relaxed);
   }
-  AttrIndexStats attr_index_stats() const {
-    return attr_stats_.Snapshot();
-  }
-  void ResetAttrIndexStats() { attr_stats_.Reset(); }
 
   /// Bulk index load (the corpus-loader fast path): between Begin and
   /// End, per-mutation index maintenance is suspended and FindAttrIndex
@@ -668,12 +579,6 @@ class Database {
   Status DoRemoveChild(OrderingHandle h, EntityId child);
   // Walks P-edges upward from `start`; true if `needle` is an ancestor.
   bool IsAncestor(const OrdState& ord, EntityId needle, EntityId start) const;
-  // Lazy index access: returns an index valid for ord.version —
-  // published if fresh, else rebuilt from the caller's own OrdState
-  // (live or pinned) and republished when strictly newer.
-  std::shared_ptr<const RankIndex> RankIndexFor(const OrdState& ord) const;
-  std::shared_ptr<const IntervalIndex> IntervalIndexFor(
-      const OrdState& ord) const;
   Status CheckOrderedPairExists(EntityId a, EntityId b) const;
   Status LogOp(Op op, const std::vector<uint8_t>& payload);
   Status ApplyOp(const storage::WalRecord& rec);
@@ -686,80 +591,6 @@ class Database {
   // Re-captures AttrIndex::erase_epoch into the IndexSlots before a
   // publish, when any erase happened since the last one.
   void RefreshIndexEpochs();
-
-  // Relaxed-atomic twin of OrderingIndexStats: bumped by concurrent
-  // readers (index lookups run under the shared latch or a snapshot).
-  struct AtomicOrderingIndexStats {
-    std::atomic<uint64_t> rank_hits{0};
-    std::atomic<uint64_t> rank_rebuilds{0};
-    std::atomic<uint64_t> interval_hits{0};
-    std::atomic<uint64_t> interval_rebuilds{0};
-    std::atomic<uint64_t> linear_scans{0};
-
-    OrderingIndexStats Snapshot() const {
-      OrderingIndexStats s;
-      s.rank_hits = rank_hits.load(std::memory_order_relaxed);
-      s.rank_rebuilds = rank_rebuilds.load(std::memory_order_relaxed);
-      s.interval_hits = interval_hits.load(std::memory_order_relaxed);
-      s.interval_rebuilds = interval_rebuilds.load(std::memory_order_relaxed);
-      s.linear_scans = linear_scans.load(std::memory_order_relaxed);
-      return s;
-    }
-    void Reset() {
-      rank_hits.store(0, std::memory_order_relaxed);
-      rank_rebuilds.store(0, std::memory_order_relaxed);
-      interval_hits.store(0, std::memory_order_relaxed);
-      interval_rebuilds.store(0, std::memory_order_relaxed);
-      linear_scans.store(0, std::memory_order_relaxed);
-    }
-    void CopyFrom(const AtomicOrderingIndexStats& o) {
-      rank_hits.store(o.rank_hits.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-      rank_rebuilds.store(o.rank_rebuilds.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-      interval_hits.store(o.interval_hits.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-      interval_rebuilds.store(
-          o.interval_rebuilds.load(std::memory_order_relaxed),
-          std::memory_order_relaxed);
-      linear_scans.store(o.linear_scans.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    }
-  };
-
-  // Relaxed-atomic twin of AttrIndexStats: lookups are bumped by
-  // concurrent readers under the shared latch or a snapshot.
-  struct AtomicAttrIndexStats {
-    std::atomic<uint64_t> lookups{0};
-    std::atomic<uint64_t> inserts{0};
-    std::atomic<uint64_t> erases{0};
-    std::atomic<uint64_t> rebuilds{0};
-
-    AttrIndexStats Snapshot() const {
-      AttrIndexStats s;
-      s.lookups = lookups.load(std::memory_order_relaxed);
-      s.inserts = inserts.load(std::memory_order_relaxed);
-      s.erases = erases.load(std::memory_order_relaxed);
-      s.rebuilds = rebuilds.load(std::memory_order_relaxed);
-      return s;
-    }
-    void Reset() {
-      lookups.store(0, std::memory_order_relaxed);
-      inserts.store(0, std::memory_order_relaxed);
-      erases.store(0, std::memory_order_relaxed);
-      rebuilds.store(0, std::memory_order_relaxed);
-    }
-    void CopyFrom(const AtomicAttrIndexStats& o) {
-      lookups.store(o.lookups.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-      inserts.store(o.inserts.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-      erases.store(o.erases.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-      rebuilds.store(o.rebuilds.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    }
-  };
 
   mutable std::shared_mutex mu_;  // see latch()
 
@@ -782,10 +613,7 @@ class Database {
   std::atomic<uint64_t> published_ops_{0};
   std::atomic<bool> writer_active_{false};
 
-  std::atomic<bool> ordering_index_enabled_{true};
-  mutable AtomicOrderingIndexStats index_stats_;
   std::atomic<bool> attr_index_enabled_{true};
-  mutable AtomicAttrIndexStats attr_stats_;
   std::atomic<bool> bulk_index_load_{false};
   bool attr_erase_dirty_ = false;
 

@@ -11,11 +11,11 @@ namespace mdm::er {
 /// er::Database (see docs/CONCURRENCY.md for the lock hierarchy).
 ///
 /// A ReadGuard holds the database latch shared for its lifetime: every
-/// read made through it sees one snapshot-consistent state — no
-/// structural mutation can interleave, and index lookups inside
-/// Before/After/Under resolve against atomically-published snapshots.
+/// read made through it sees one consistent state — no structural
+/// mutation can interleave, so Before/After/Under answer from the same
+/// S- and P-edges as Children/ParentOf.
 /// A WriteGuard holds the latch exclusively and is the required bracket
-/// for any mutation (including EnableOrderingIndex, AttachJournal and
+/// for any mutation (including EnableAttrIndex, AttachJournal and
 /// ReplayJournal).
 ///
 /// Guards do not nest: acquiring a second guard on the same database

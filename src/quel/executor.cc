@@ -281,16 +281,19 @@ class NestedLoopJoin {
     ++actual_->calls[depth];
     auto t0 = std::chrono::steady_clock::now();
     Status s = DescendImpl(depth);
-    actual_->inclusive_ns[depth] += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
+    actual_->inclusive_ns[depth] += NsSince(t0);
     return s;
   }
 
-  Status DescendImpl(size_t depth) {
-    // Evaluate conjuncts that became fully bound at this depth.
-    Evaluator eval(db_, &bindings_, &plan_->order_handles);
+  static uint64_t NsSince(std::chrono::steady_clock::time_point t0) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+  }
+
+  // Evaluates the conjuncts that became fully bound at this depth.
+  Result<bool> PassesFilters(size_t depth, const Evaluator& eval) {
     for (const PlannedConjunct& c : plan_->conjuncts) {
       if (c.depth != depth) continue;
       if (stats_ != nullptr) {
@@ -298,8 +301,21 @@ class NestedLoopJoin {
         QuelCounters::Get().conjuncts->Inc();
       }
       MDM_ASSIGN_OR_RETURN(bool pass, eval.Test(*c.qual));
-      if (!pass) return Status::OK();
+      if (!pass) return false;
     }
+    return true;
+  }
+
+  Status DescendImpl(size_t depth) {
+    Evaluator eval(db_, &bindings_, &plan_->order_handles);
+    // Filters are timed on their own: explain prints them under loop
+    // `depth`, so the renderer charges their time to it.
+    std::chrono::steady_clock::time_point t0;
+    if (actual_ != nullptr) t0 = std::chrono::steady_clock::now();
+    Result<bool> pass = PassesFilters(depth, eval);
+    if (actual_ != nullptr) actual_->filter_ns[depth] += NsSince(t0);
+    MDM_RETURN_IF_ERROR(pass.status());
+    if (!*pass) return Status::OK();
     if (actual_ != nullptr) ++actual_->passed[depth];
     if (depth == plan_->vars.size()) return (*emit_)(bindings_);
     const PlannedVar& var = plan_->vars[depth];
@@ -471,12 +487,9 @@ std::string ExecStats::ToString() const {
       "statements: %llu\n"
       "rows scanned: %llu\n"
       "conjuncts evaluated: %llu\n"
-      "ordering index hits: %llu\n"
-      "ordering index misses: %llu\n"
       "plan cache hits: %llu\n",
       (unsigned long long)statements, (unsigned long long)rows_scanned,
       (unsigned long long)conjuncts_evaluated,
-      (unsigned long long)index_hits, (unsigned long long)index_misses,
       (unsigned long long)plan_cache_hits);
 }
 
@@ -553,7 +566,6 @@ Result<ResultSet> QuelSession::Run(const std::string& script, bool pushdown,
     ranges = ranges_;
   }
 
-  const er::OrderingIndexStats before = db_->ordering_index_stats();
   ResultSet last;
   for (const Statement& stmt : *stmts) {
     obs::Span span("quel.statement", StatementDuration(), StatementSelf());
@@ -601,18 +613,6 @@ Result<ResultSet> QuelSession::Run(const std::string& script, bool pushdown,
       }
     }
   }
-  // Attribute this script's ordering-index activity to the session
-  // (best-effort when other sessions run concurrently; see ExecStats).
-  const er::OrderingIndexStats after = db_->ordering_index_stats();
-  stats_.index_hits.fetch_add(
-      (after.rank_hits - before.rank_hits) +
-          (after.interval_hits - before.interval_hits),
-      std::memory_order_relaxed);
-  stats_.index_misses.fetch_add(
-      (after.rank_rebuilds - before.rank_rebuilds) +
-          (after.interval_rebuilds - before.interval_rebuilds) +
-          (after.linear_scans - before.linear_scans),
-      std::memory_order_relaxed);
   return last;
 }
 

@@ -263,8 +263,8 @@ const char* SliceOpText(er::OrderingSlice slice) {
 }
 
 /// Renders a qualification; with a database + plan, ordering operators
-/// carry their resolved ordering names and index annotations (the
-/// explain output). Both may be null for a plain deparse.
+/// carry their resolved ordering names (the explain output). Both may
+/// be null for a plain deparse.
 std::string RenderQual(const Database* db, const Plan* plan, const Qual& q) {
   switch (q.kind) {
     case Qual::Kind::kCompare:
@@ -278,21 +278,12 @@ std::string RenderQual(const Database* db, const Plan* plan, const Qual& q) {
       out += OrderOpText(q.order_op);
       out += " ";
       out += AsciiLower(q.order_var2);
-      bool annotated = false;
       if (plan != nullptr && db != nullptr) {
         auto it = plan->order_handles.find(&q);
-        if (it != plan->order_handles.end()) {
-          out += " in " + db->ordering_def(it->second).name;
-          if (!db->ordering_index_enabled())
-            out += " [linear scan]";
-          else if (q.order_op == OrderOp::kUnder)
-            out += " [interval index]";
-          else
-            out += " [rank index]";
-          annotated = true;
-        }
+        if (it != plan->order_handles.end())
+          return out + " in " + db->ordering_def(it->second).name;
       }
-      if (!annotated && !q.ordering.empty()) out += " in " + q.ordering;
+      if (!q.ordering.empty()) out += " in " + q.ordering;
       return out;
     }
     case Qual::Kind::kAnd:
@@ -421,17 +412,14 @@ Result<Plan> PlanQuery(Database* db,
   // that, by an equality conjunct whose key side is bound by outer
   // loops (index selection for literal keys, index-nested-loop join for
   // outer-variable keys). Runs after the sort so "bound" is final; the
-  // naive plan never uses either — it is the ablation baseline — and a
-  // disabled ordering index turns the slices off.
+  // naive plan never uses either — it is the ablation baseline.
   std::set<const Qual*> consumed;
   if (pushdown) {
     std::set<std::string> bound;
     for (PlannedVar& var : plan.vars) {
       if (!var.is_relationship) {
         const Qual* slice_qual =
-            db->ordering_index_enabled()
-                ? SelectOrderingSlice(db, conjuncts, bound, plan, &var)
-                : nullptr;
+            SelectOrderingSlice(db, conjuncts, bound, plan, &var);
         if (slice_qual != nullptr)
           consumed.insert(slice_qual);
         else
@@ -481,13 +469,20 @@ std::string RenderPlan(const Database& db, const Statement& stmt,
   if (actual != nullptr) out += " (analyze)";
   out += "\n";
   out += StrFormat("  pushdown: %s\n", plan.pushdown ? "on" : "off");
-  out += StrFormat("  ordering index: %s\n",
-                   db.ordering_index_enabled() ? "on" : "off");
   for (const PlannedConjunct& c : plan.conjuncts) {
     if (c.depth == 0)
       out += "  filter (const): " + RenderQual(&db, &plan, *c.qual) + "\n";
   }
   size_t levels = plan.vars.size();
+  // Time at depth >= k minus the depth-k filters, which explain prints
+  // (and so charges) under loop k; depth 0's constant filters stay in
+  // loop 1's share. See AnalyzeStats.
+  auto below = [&](size_t k) {
+    const uint64_t filters = k == 0 ? 0 : actual->filter_ns[k];
+    return actual->inclusive_ns[k] >= filters
+               ? actual->inclusive_ns[k] - filters
+               : 0;
+  };
   for (size_t v = 0; v < levels; ++v) {
     const PlannedVar& var = plan.vars[v];
     out += StrFormat("  loop %zu: %s is %s (~%llu rows)", v + 1,
@@ -501,12 +496,8 @@ std::string RenderPlan(const Database& db, const Statement& stmt,
       out += StrFormat(" via index %s(%s)", var.index->def.name.c_str(),
                        var.index->def.attr.c_str());
     if (actual != nullptr) {
-      // Self time of loop v+1: everything spent at depth v (its filter
-      // gate plus the enumeration) minus the time handed to depth v+1.
-      uint64_t self = actual->inclusive_ns[v] >= actual->inclusive_ns[v + 1]
-                          ? actual->inclusive_ns[v] -
-                                actual->inclusive_ns[v + 1]
-                          : 0;
+      // Self time of loop v+1: its enumeration plus its own filters.
+      uint64_t self = below(v) >= below(v + 1) ? below(v) - below(v + 1) : 0;
       out += StrFormat(" [actual: in=%llu out=%llu, self=%lluns]",
                        (unsigned long long)actual->calls[v + 1],
                        (unsigned long long)actual->passed[v + 1],
@@ -528,7 +519,7 @@ std::string RenderPlan(const Database& db, const Statement& stmt,
   if (actual != nullptr) {
     out += StrFormat(" [actual: rows=%llu, time=%lluns]",
                      (unsigned long long)actual->passed[levels],
-                     (unsigned long long)actual->inclusive_ns[levels]);
+                     (unsigned long long)below(levels));
   }
   out += "\n";
   if (actual != nullptr) {

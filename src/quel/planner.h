@@ -45,8 +45,8 @@ struct PlannedVar {
   // the filter list. A slice beats an index probe (it is bounded by one
   // parent's subtree, a probe spans the corpus), and the probe's
   // conjunct stays a filter. Conjuncts inside or/not, self pairs and
-  // relationship operands never drive a loop. Both ablations (the naive
-  // plan and a disabled ordering index) keep the scan.
+  // relationship operands never drive a loop. The naive plan (no
+  // pushdown, the ablation baseline) keeps the scan.
   const Qual* slice_qual = nullptr;
   er::OrderingHandle slice_ordering;
   er::OrderingSlice slice = er::OrderingSlice::kDescendants;
@@ -94,22 +94,29 @@ std::string ExplainPlan(const er::Database& db, const Statement& stmt,
 /// Actual row counts and timings collected while executing an
 /// `explain analyze` statement. Index k of each vector is loop depth k:
 /// depth 0 is the constant gate before any loop, depth k >= 1 is entered
-/// once per binding enumerated by loop k. All three vectors have
+/// once per binding enumerated by loop k. All four vectors have
 /// plan.vars.size() + 1 entries.
 ///
 /// Invariant used by the renderer: inclusive_ns[k] covers everything at
-/// depth k and below, so the self time of loop k is
-/// inclusive_ns[k-1] - inclusive_ns[k], and the loop self times plus the
-/// emit time (inclusive_ns[N]) sum exactly to inclusive_ns[0].
+/// depth k and below, including the depth-k filters (filter_ns[k]).
+/// Explain prints the depth-k filters under loop k, so loop k's self
+/// time is its enumeration plus those filters:
+///   self(k) = (inclusive_ns[k-1] - filter_ns[k-1])
+///             - (inclusive_ns[k] - filter_ns[k])
+/// with filter_ns[0] (the constant filters) left in loop 1's share. The
+/// emit time is inclusive_ns[N] - filter_ns[N], so the loop self times
+/// plus the emit time sum exactly to inclusive_ns[0].
 struct AnalyzeStats {
   std::vector<uint64_t> calls;         // times depth k was entered
   std::vector<uint64_t> passed;        // bindings surviving depth-k filters
   std::vector<uint64_t> inclusive_ns;  // total ns spent at depth >= k
+  std::vector<uint64_t> filter_ns;     // ns spent in the depth-k filters
 
   void Resize(size_t levels) {
     calls.assign(levels, 0);
     passed.assign(levels, 0);
     inclusive_ns.assign(levels, 0);
+    filter_ns.assign(levels, 0);
   }
 };
 

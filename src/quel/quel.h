@@ -91,16 +91,14 @@ struct ResultSet {
 /// until ResetStats. Surfaced by mdmsh's \stats.
 ///
 /// This struct is the per-session view. Process-wide totals are
-/// mirrored on the obs registry (mdm_quel_*_total, mdm_er_*_total and
-/// the quel.statement span histogram); prefer those for monitoring —
-/// this accessor remains for per-session attribution in tests and
-/// benches (see docs/OBSERVABILITY.md).
+/// mirrored on the obs registry (mdm_quel_*_total and the
+/// quel.statement span histogram); prefer those for monitoring — this
+/// accessor remains for per-session attribution in tests and benches
+/// (see docs/OBSERVABILITY.md).
 struct ExecStats {
   uint64_t statements = 0;           // statements executed
   uint64_t rows_scanned = 0;         // range-variable bindings enumerated
   uint64_t conjuncts_evaluated = 0;  // pushed-down conjunct tests
-  uint64_t index_hits = 0;           // ordering-index answers (rank/interval)
-  uint64_t index_misses = 0;         // index rebuilds + linear fallbacks
   uint64_t plan_cache_hits = 0;      // scripts answered from the parse cache
 
   std::string ToString() const;
@@ -108,15 +106,11 @@ struct ExecStats {
 
 /// Relaxed-atomic twin of ExecStats: the live counters a session (and
 /// the join inner loops) bump, safe against concurrent Execute calls on
-/// one shared session. Counts are exact; the index_hits/index_misses
-/// attribution is best-effort when several sessions share one database
-/// (it diffs the database-wide index stats around the script).
+/// one shared session. Counts are exact.
 struct ExecCounters {
   std::atomic<uint64_t> statements{0};
   std::atomic<uint64_t> rows_scanned{0};
   std::atomic<uint64_t> conjuncts_evaluated{0};
-  std::atomic<uint64_t> index_hits{0};
-  std::atomic<uint64_t> index_misses{0};
   std::atomic<uint64_t> plan_cache_hits{0};
 
   ExecStats Snapshot() const {
@@ -125,8 +119,6 @@ struct ExecCounters {
     s.rows_scanned = rows_scanned.load(std::memory_order_relaxed);
     s.conjuncts_evaluated =
         conjuncts_evaluated.load(std::memory_order_relaxed);
-    s.index_hits = index_hits.load(std::memory_order_relaxed);
-    s.index_misses = index_misses.load(std::memory_order_relaxed);
     s.plan_cache_hits = plan_cache_hits.load(std::memory_order_relaxed);
     return s;
   }
@@ -134,8 +126,6 @@ struct ExecCounters {
     statements.store(0, std::memory_order_relaxed);
     rows_scanned.store(0, std::memory_order_relaxed);
     conjuncts_evaluated.store(0, std::memory_order_relaxed);
-    index_hits.store(0, std::memory_order_relaxed);
-    index_misses.store(0, std::memory_order_relaxed);
     plan_cache_hits.store(0, std::memory_order_relaxed);
   }
 };

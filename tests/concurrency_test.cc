@@ -11,6 +11,7 @@
 //    are never torn (run under the tsan preset for enforcement).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -581,13 +582,16 @@ TEST(QuelConcurrency, ReadersCompleteWhileWriterHoldsExclusiveLatch) {
 }
 
 // ----------------------------------------------------------------------
-// Ordering access paths read the pinned snapshot's S-edges. A writer
-// holds the exclusive latch mid-way through a batch of appends under
-// one staff; a reader meanwhile runs `under` and `after` loops driven
-// by note_on_staff. It must enumerate exactly its snapshot's children,
-// in order, with the driven loop's rows_in equal to that fan-out, and
-// without rebuilding the interval index. Once the batch publishes, the
-// same queries see the appended notes.
+// Ordering access paths and predicates read the pinned snapshot's
+// edges. A writer holds the exclusive latch mid-way through a batch
+// that inserts notes at position 0 under one staff and moves note 4 to
+// the front, shifting every sibling's position; a reader meanwhile runs
+// `under` and `after` loops driven by note_on_staff, and a `before`
+// inside `or` (a filter, not a slice, so Database::Before answers it).
+// It must see exactly its snapshot's children, in order, with the
+// driven loop's rows_in equal to that fan-out, and the filter-side
+// `before` must answer from the pinned positions. Once the batch
+// publishes, the same queries see the new order.
 // ----------------------------------------------------------------------
 TEST(QuelConcurrency, OrderingSliceReadsExactlyThePinnedSnapshot) {
   Database db;
@@ -615,6 +619,9 @@ TEST(QuelConcurrency, OrderingSliceReadsExactlyThePinnedSnapshot) {
   const char* kAfter =
       "range of n1, n2 is NOTE retrieve (n1.name) "
       "where n1 after n2 in note_on_staff and n2.name = 2";
+  const char* kBeforeFilter =
+      "range of n1, n2 is NOTE retrieve (n1.name) "
+      "where n2.name = 2 and (n1 before n2 in note_on_staff or n1.name = -1)";
   struct Read {
     std::vector<int64_t> names;
     quel::StatementActuals actuals;
@@ -630,18 +637,21 @@ TEST(QuelConcurrency, OrderingSliceReadsExactlyThePinnedSnapshot) {
     out->rows_scanned = conn.local_stats().rows_scanned;
   };
 
-  Read under_pinned, after_pinned;
-  const uint64_t interval_rebuilds_before =
-      db.ordering_index_stats().interval_rebuilds;
+  Read under_pinned, after_pinned, before_pinned;
   {
     er::WriteGuard w(db);
     for (int n = 0; n < kBatch; ++n)
       ASSERT_TRUE(
-          w->AppendChild(h, staff, MustCreate(&db, "NOTE", 100 + n)).ok());
+          w->InsertChildAt(h, staff, MustCreate(&db, "NOTE", 100 + n), 0)
+              .ok());
+    const EntityId note4 = *w->NthChild(h, staff, kBatch + 4);
+    ASSERT_TRUE(w->RemoveChild(h, note4).ok());
+    ASSERT_TRUE(w->InsertChildAt(h, staff, note4, 0).ok());
     // The reader runs while the batch is unpublished and the latch held.
     std::thread reader([&] {
       run(kUnder, &under_pinned);
       run(kAfter, &after_pinned);
+      run(kBeforeFilter, &before_pinned);
     });
     reader.join();
   }
@@ -659,18 +669,27 @@ TEST(QuelConcurrency, OrderingSliceReadsExactlyThePinnedSnapshot) {
   ASSERT_EQ(after_pinned.actuals.loops.size(), 2u);
   EXPECT_EQ(after_pinned.actuals.loops[1].access, "ordering");
   EXPECT_EQ(after_pinned.actuals.loops[1].rows_in, 2u);
-  EXPECT_EQ(db.ordering_index_stats().interval_rebuilds,
-            interval_rebuilds_before);
+  // The `or` keeps `before` a filter; it sees the pinned order, where
+  // notes 0 and 1 precede note 2 and note 4 still follows it.
+  EXPECT_EQ(before_pinned.actuals.loops[1].access, "scan");
+  EXPECT_EQ(before_pinned.names, (std::vector<int64_t>{0, 1}));
 
-  Read under_published, after_published;
+  Read under_published, after_published, before_published;
   run(kUnder, &under_published);
   run(kAfter, &after_published);
+  run(kBeforeFilter, &before_published);
   EXPECT_EQ(under_published.names.size(),
             static_cast<size_t>(kPinned + kBatch));
+  EXPECT_EQ(under_published.names.front(), 4);
   EXPECT_EQ(under_published.actuals.loops[1].rows_in,
             static_cast<uint64_t>(kPinned + kBatch));
-  EXPECT_EQ(after_published.names.size(), 2u + kBatch);
-  EXPECT_EQ(after_published.names.back(), 100 + kBatch - 1);
+  // Published order: 4, 109..100, 0, 1, 2, 3.
+  EXPECT_EQ(after_published.names, (std::vector<int64_t>{3}));
+  std::vector<int64_t> before_sorted = before_published.names;
+  std::sort(before_sorted.begin(), before_sorted.end());
+  EXPECT_EQ(before_sorted.size(), 3u + kBatch);
+  EXPECT_EQ(before_sorted.front(), 0);
+  EXPECT_EQ(before_sorted.back(), 100 + kBatch - 1);
 }
 
 // ----------------------------------------------------------------------

@@ -72,6 +72,15 @@ std::vector<int64_t> Ints(const quel::ResultSet& rs) {
   return out;
 }
 
+/// A process-wide counter on the obs registry (0 until registered).
+/// Tests take it before and after an operation and assert on the delta.
+uint64_t CounterValue(const std::string& name) {
+  const std::map<std::string, uint64_t> values =
+      obs::Registry::Global()->CounterValues();
+  auto it = values.find(name);
+  return it == values.end() ? 0 : it->second;
+}
+
 // ----------------------------------------------------------------------
 // DDL surface.
 // ----------------------------------------------------------------------
@@ -135,11 +144,12 @@ TEST_F(IndexDdlTest, BackfillIndexesExistingEntities) {
     ASSERT_TRUE(id.ok());
     ASSERT_TRUE(db_.SetAttribute(*id, "name", Value::Int(i % 4)).ok());
   }
+  const uint64_t rebuilds = CounterValue("mdm_index_rebuilds_total");
   ASSERT_TRUE(db_.DefineIndex({"note_name", "NOTE", "name"}).ok());
   const AttrIndex* ix = db_.FindAttrIndexByName("note_name");
   ASSERT_NE(ix, nullptr);
   EXPECT_EQ(ix->tree.size(), 10u);
-  EXPECT_GE(db_.attr_index_stats().rebuilds, 1u);
+  EXPECT_GE(CounterValue("mdm_index_rebuilds_total") - rebuilds, 1u);
   ValidateIndexConsistency(db_);
 }
 
@@ -192,7 +202,6 @@ TEST_F(IndexPlanTest, ExplainGoldenIndexSelection) {
   EXPECT_EQ(rs->ToString(),
             "plan: retrieve\n"
             "  pushdown: on\n"
-            "  ordering index: on\n"
             "  loop 1: n is NOTE (~5 rows) via index note_name(name)\n"
             "    filter: n.name = 30\n"
             "  emit: n.name\n");
@@ -215,7 +224,6 @@ TEST_F(IndexPlanTest, ExplainWrongKeyFallsBackToScan) {
   EXPECT_EQ(rs->ToString(),
             "plan: retrieve\n"
             "  pushdown: on\n"
-            "  ordering index: on\n"
             "  loop 1: n is NOTE (~5 rows)\n"
             "    filter: n.name = 30\n"
             "  emit: n.name\n");
@@ -241,7 +249,6 @@ TEST_F(IndexPlanTest, IndexNestedLoopJoinViaIs) {
   EXPECT_EQ(plan->ToString(),
             "plan: retrieve\n"
             "  pushdown: on\n"
-            "  ordering index: on\n"
             "  loop 1: c is CHORD (~2 rows)\n"
             "    filter: c.name = 2\n"
             "  loop 2: n is NOTE (~5 rows) via index note_chord(chord)\n"
@@ -311,6 +318,8 @@ TEST_F(IndexPlanTest, RuntimeNullKeyFallsBackToScan) {
 TEST_F(IndexPlanTest, MaintenanceAcrossUpdateAndDelete) {
   const AttrIndex* ix = db_.FindAttrIndexByName("note_name");
   ASSERT_NE(ix, nullptr);
+  const uint64_t inserts = CounterValue("mdm_index_inserts_total");
+  const uint64_t erases = CounterValue("mdm_index_erases_total");
   Connection conn = Connection::Local(&db_);
   ASSERT_TRUE(conn.Execute("range of n is NOTE\n"
                            "replace n (name = 21) where n.name = 20")
@@ -321,9 +330,8 @@ TEST_F(IndexPlanTest, MaintenanceAcrossUpdateAndDelete) {
       conn.Execute("range of n is NOTE\ndelete n where n.name = 21").ok());
   EXPECT_TRUE(db_.IndexLookup(*ix, Value::Int(21)).empty());
   EXPECT_EQ(ix->tree.size(), 4u);
-  er::AttrIndexStats stats = db_.attr_index_stats();
-  EXPECT_GT(stats.inserts, 0u);
-  EXPECT_GT(stats.erases, 0u);
+  EXPECT_GT(CounterValue("mdm_index_inserts_total"), inserts);
+  EXPECT_GT(CounterValue("mdm_index_erases_total"), erases);
   ValidateIndexConsistency(db_);
 }
 
@@ -391,6 +399,13 @@ TEST_P(AttrIndexAblationFuzz, IndexedAndAblatedStayEquivalent) {
 
   Connection c_indexed = Connection::Local(&indexed);
   Connection c_plain = Connection::Local(&plain);
+  // Index probes made by each side's queries (registry deltas).
+  uint64_t lookups_indexed = 0, lookups_plain = 0;
+  auto lookups_during = [](const std::function<void()>& run) {
+    const uint64_t before = CounterValue("mdm_index_lookups_total");
+    run();
+    return CounterValue("mdm_index_lookups_total") - before;
+  };
   constexpr int kOps = 500;
   for (int op = 0; op < kOps; ++op) {
     SCOPED_TRACE(testing::Message() << "seed " << seed << " op " << op);
@@ -434,8 +449,10 @@ TEST_P(AttrIndexAblationFuzz, IndexedAndAblatedStayEquivalent) {
             "retrieve (n.name) where n.chord is c and c.name = " +
             std::to_string(rng.Uniform(3));
       }
-      auto rs_a = c_indexed.Execute(query);
-      auto rs_b = c_plain.Execute(query);
+      Result<quel::ResultSet> rs_a = quel::ResultSet{}, rs_b = rs_a;
+      lookups_indexed +=
+          lookups_during([&] { rs_a = c_indexed.Execute(query); });
+      lookups_plain += lookups_during([&] { rs_b = c_plain.Execute(query); });
       ASSERT_EQ(rs_a.ok(), rs_b.ok())
           << rs_a.status().ToString() << " vs " << rs_b.status().ToString();
       if (rs_a.ok()) {
@@ -445,8 +462,8 @@ TEST_P(AttrIndexAblationFuzz, IndexedAndAblatedStayEquivalent) {
   }
   // The ablated database never answered through an index; the indexed
   // one did. Both trees stayed consistent (maintenance is always on).
-  EXPECT_EQ(plain.attr_index_stats().lookups, 0u);
-  EXPECT_GT(indexed.attr_index_stats().lookups, 0u);
+  EXPECT_EQ(lookups_plain, 0u);
+  EXPECT_GT(lookups_indexed, 0u);
   ValidateIndexConsistency(indexed);
   ValidateIndexConsistency(plain);
 }
@@ -455,13 +472,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AttrIndexAblationFuzz,
                          testing::Values(11u, 12u, 13u));
 
 // ----------------------------------------------------------------------
-// Ordering access paths: a database whose `under`/`before`/`after`
-// loops are driven from the ordering's S-edges and one with
-// EnableOrderingIndex(false) (which keeps the extent scan) receive the
-// same seeded churn of S/P-edge mutations and deletes, interleaved with
-// ordering queries over a flat, a recursive and a mixed-child-type
-// ordering. Sorted rows must match, and where the access-path side's
-// loop is a single slice, it must emit in ordering order.
+// Ordering access paths: one database receives a seeded churn of S/P-
+// edge mutations and deletes, interleaved with ordering queries over a
+// flat, a recursive and a mixed-child-type ordering. Each query runs
+// twice: planned, where `under`/`before`/`after` loops are driven from
+// the ordering's S-edges, and through the naive plan (ExecuteNaive),
+// which scans every extent and tests each conjunct row by row. Sorted
+// rows must match, and where the planned loop is a single slice, it
+// must emit in ordering order. After every mutation, PositionOf,
+// Before, After and Under must agree with a reference computed from
+// Children() and ParentOf(). Seed kFrontInsertSeed's churn is mostly
+// InsertChildAt(..., 0), which shifts every later sibling's position.
 // ----------------------------------------------------------------------
 
 std::vector<int64_t> NamesInEmitOrder(const quel::ResultSet& rs) {
@@ -470,34 +491,32 @@ std::vector<int64_t> NamesInEmitOrder(const quel::ResultSet& rs) {
   return out;
 }
 
+constexpr uint64_t kFrontInsertSeed = 14;
+
 class OrderingAccessAblationFuzz : public testing::TestWithParam<uint64_t> {};
 
 TEST_P(OrderingAccessAblationFuzz, SlicedAndScannedStayEquivalent) {
   const uint64_t seed = GetParam();
-  er::Database sliced;
-  er::Database plain;
-  for (er::Database* db : {&sliced, &plain}) {
-    ASSERT_TRUE(ddl::ExecuteDdl(R"(
-      define entity STAFF (name = integer)
-      define entity NOTE (name = integer, pitch = integer)
-      define entity SECTION (name = integer)
-      define entity GROUP (name = integer)
-      define entity CHORD (name = integer)
-      define entity REST (name = integer)
-      define index note_pitch on NOTE(pitch)
-      define ordering note_on_staff (NOTE) under STAFF
-      define ordering sec_tree (SECTION, NOTE) under SECTION
-      define ordering group_seq (GROUP, CHORD, REST) under GROUP
-    )",
-                                db)
-                    .ok());
-  }
-  plain.EnableOrderingIndex(false);
+  const bool front_inserts = seed == kFrontInsertSeed;
+  er::Database db;
+  ASSERT_TRUE(ddl::ExecuteDdl(R"(
+    define entity STAFF (name = integer)
+    define entity NOTE (name = integer, pitch = integer)
+    define entity SECTION (name = integer)
+    define entity GROUP (name = integer)
+    define entity CHORD (name = integer)
+    define entity REST (name = integer)
+    define index note_pitch on NOTE(pitch)
+    define ordering note_on_staff (NOTE) under STAFF
+    define ordering sec_tree (SECTION, NOTE) under SECTION
+    define ordering group_seq (GROUP, CHORD, REST) under GROUP
+  )",
+                              &db)
+                  .ok());
 
-  // One logical entity per slot: its ids in both databases, its type and
-  // its (unique) name.
+  // One entity per slot: its id, its type and its (unique) name.
   struct Ent {
-    EntityId a, b;
+    EntityId id;
     std::string type;
     int64_t name;
   };
@@ -505,13 +524,11 @@ TEST_P(OrderingAccessAblationFuzz, SlicedAndScannedStayEquivalent) {
   int64_t next_name = 0;
   Rng rng(seed);
   auto create = [&](const std::string& type) {
-    auto a = sliced.CreateEntity(type);
-    auto b = plain.CreateEntity(type);
-    ASSERT_TRUE(a.ok() && b.ok());
+    auto id = db.CreateEntity(type);
+    ASSERT_TRUE(id.ok());
     const int64_t name = next_name++;
-    ASSERT_TRUE(sliced.SetAttribute(*a, "name", Value::Int(name)).ok());
-    ASSERT_TRUE(plain.SetAttribute(*b, "name", Value::Int(name)).ok());
-    ents.push_back({*a, *b, type, name});
+    ASSERT_TRUE(db.SetAttribute(*id, "name", Value::Int(name)).ok());
+    ents.push_back({*id, type, name});
   };
   const std::pair<const char*, int> kInitial[] = {
       {"STAFF", 3}, {"NOTE", 20}, {"SECTION", 6},
@@ -547,16 +564,63 @@ TEST_P(OrderingAccessAblationFuzz, SlicedAndScannedStayEquivalent) {
       {"sec_tree", "SECTION", {"SECTION", "NOTE"}},
       {"group_seq", "GROUP", {"GROUP", "CHORD", "REST"}}};
 
-  // Ground truth for slice order, from the navigation API of the sliced
-  // database: names of `type` entities in the slice, in ordering order.
+  // The §5.6 predicates over every pair of `o`'s entities, against a
+  // reference built from the navigation API: child -> (parent, position)
+  // from Children(), parents cross-checked with ParentOf().
+  auto check_predicates = [&](const OrderingSpec& o) {
+    const er::OrderingHandle h = *db.ResolveOrderingHandle(o.name);
+    std::vector<EntityId> members;
+    for (const Ent& e : ents)
+      if (e.type == o.parent ||
+          std::find(o.children.begin(), o.children.end(), e.type) !=
+              o.children.end())
+        members.push_back(e.id);
+    std::map<EntityId, std::pair<EntityId, size_t>> slot;
+    for (EntityId p : members) {
+      const std::vector<EntityId> kids = *db.Children(h, p);
+      for (size_t i = 0; i < kids.size(); ++i) slot[kids[i]] = {p, i};
+    }
+    for (EntityId x : members) {
+      auto it = slot.find(x);
+      ASSERT_EQ(*db.ParentOf(h, x),
+                it == slot.end() ? er::kInvalidEntityId : it->second.first);
+      auto pos = db.PositionOf(h, x);
+      ASSERT_EQ(pos.ok(), it != slot.end()) << o.name << " #" << x;
+      if (pos.ok()) {
+        ASSERT_EQ(*pos, it->second.second) << o.name << " #" << x;
+      }
+    }
+    for (EntityId x : members) {
+      auto sx = slot.find(x);
+      for (EntityId y : members) {
+        auto sy = slot.find(y);
+        const bool before = sx != slot.end() && sy != slot.end() &&
+                            sx->second.first == sy->second.first &&
+                            sx->second.second < sy->second.second;
+        ASSERT_EQ(*db.Before(h, x, y), before) << o.name << " #" << x
+                                               << " before #" << y;
+        ASSERT_EQ(*db.After(h, y, x), before) << o.name << " #" << y
+                                              << " after #" << x;
+        bool under = false;
+        for (auto s = sx; s != slot.end() && !under;
+             s = slot.find(s->second.first))
+          under = s->second.first == y;
+        ASSERT_EQ(*db.Under(h, x, y), under) << o.name << " #" << x
+                                             << " under #" << y;
+      }
+    }
+  };
+
+  // Ground truth for slice order, from the navigation API: names of
+  // `type` entities in the slice, in ordering order.
   std::function<void(er::OrderingHandle, EntityId, const std::string&,
                      std::vector<int64_t>*)>
       preorder = [&](er::OrderingHandle h, EntityId node,
                      const std::string& type, std::vector<int64_t>* out) {
-        const std::vector<EntityId> kids = *sliced.Children(h, node);
+        const std::vector<EntityId> kids = *db.Children(h, node);
         for (EntityId kid : kids) {
-          if (*sliced.TypeOf(kid) == type)
-            out->push_back(sliced.GetAttribute(kid, "name")->AsInt());
+          if (*db.TypeOf(kid) == type)
+            out->push_back(db.GetAttribute(kid, "name")->AsInt());
           preorder(h, kid, type, out);
         }
       };
@@ -565,52 +629,63 @@ TEST_P(OrderingAccessAblationFuzz, SlicedAndScannedStayEquivalent) {
     std::vector<int64_t> out;
     const Ent* anchor = find(anchor_name);
     if (anchor == nullptr) return out;
-    er::OrderingHandle h = *sliced.ResolveOrderingHandle(ordering);
+    er::OrderingHandle h = *db.ResolveOrderingHandle(ordering);
     if (slice == er::OrderingSlice::kDescendants) {
-      preorder(h, anchor->a, type, &out);
+      preorder(h, anchor->id, type, &out);
       return out;
     }
-    EntityId parent = *sliced.ParentOf(h, anchor->a);
+    EntityId parent = *db.ParentOf(h, anchor->id);
     if (parent == er::kInvalidEntityId) return out;
-    std::vector<EntityId> sibs = *sliced.Children(h, parent);
-    auto at = std::find(sibs.begin(), sibs.end(), anchor->a);
+    std::vector<EntityId> sibs = *db.Children(h, parent);
+    auto at = std::find(sibs.begin(), sibs.end(), anchor->id);
     auto begin = slice == er::OrderingSlice::kBefore ? sibs.begin() : at + 1;
     auto end = slice == er::OrderingSlice::kBefore ? at : sibs.end();
     for (auto it = begin; it != end; ++it)
-      if (*sliced.TypeOf(*it) == type)
-        out.push_back(sliced.GetAttribute(*it, "name")->AsInt());
+      if (*db.TypeOf(*it) == type)
+        out.push_back(db.GetAttribute(*it, "name")->AsInt());
     return out;
   };
 
-  Connection c_sliced = Connection::Local(&sliced);
-  Connection c_plain = Connection::Local(&plain);
+  Connection c_sliced = Connection::Local(&db);
+  Connection c_naive = Connection::Local(&db);
   constexpr int kOps = 400;
   int order_checks = 0;
+  int front_inserts_done = 0;
   for (int op = 0; op < kOps; ++op) {
     SCOPED_TRACE(testing::Message() << "seed " << seed << " op " << op);
     const double dice = rng.NextDouble();
     if (dice < 0.30) {
-      // S/P-edge churn on one of the three orderings; both databases
-      // must accept or reject each edit identically (cycles, double
-      // parents, positions past the end).
+      // S/P-edge churn on one of the three orderings. Edits the database
+      // rejects (cycles, double parents, positions past the end) are
+      // part of the churn.
       const OrderingSpec& o = kOrderings[rng.Uniform(3)];
       const Ent* parent = pick({o.parent});
       const Ent* child = pick(o.children);
       if (parent == nullptr || child == nullptr) continue;
+      enum class Edit { kAppend, kInsert, kRemove };
       const double kind = rng.NextDouble();
-      Status a, b;
-      if (kind < 0.45) {
-        a = sliced.AppendChild(o.name, parent->a, child->a);
-        b = plain.AppendChild(o.name, parent->b, child->b);
-      } else if (kind < 0.75) {
-        const size_t pos = rng.Uniform(5);
-        a = sliced.InsertChildAt(o.name, parent->a, child->a, pos);
-        b = plain.InsertChildAt(o.name, parent->b, child->b, pos);
-      } else {
-        a = sliced.RemoveChild(o.name, child->a);
-        b = plain.RemoveChild(o.name, child->b);
+      const Edit edit = front_inserts ? (kind < 0.75 ? Edit::kInsert
+                                                     : Edit::kRemove)
+                        : kind < 0.45 ? Edit::kAppend
+                        : kind < 0.75 ? Edit::kInsert
+                                      : Edit::kRemove;
+      switch (edit) {
+        case Edit::kAppend:
+          (void)db.AppendChild(o.name, parent->id, child->id);
+          break;
+        case Edit::kInsert: {
+          const size_t pos = front_inserts ? 0 : rng.Uniform(5);
+          if (db.InsertChildAt(o.name, parent->id, child->id, pos).ok() &&
+              pos == 0)
+            ++front_inserts_done;
+          break;
+        }
+        case Edit::kRemove:
+          (void)db.RemoveChild(o.name, child->id);
+          break;
       }
-      ASSERT_EQ(a.code(), b.code()) << a.ToString() << " vs " << b.ToString();
+      check_predicates(o);
+      if (testing::Test::HasFatalFailure()) return;
     } else if (dice < 0.36) {
       if (rng.Bernoulli(0.5) || ents.size() < 20) {
         const std::string type =
@@ -620,16 +695,16 @@ TEST_P(OrderingAccessAblationFuzz, SlicedAndScannedStayEquivalent) {
         // Delete outright: detaches it everywhere, its children become
         // roots.
         const size_t slot = rng.Uniform(ents.size());
-        ASSERT_EQ(sliced.DeleteEntity(ents[slot].a).code(),
-                  plain.DeleteEntity(ents[slot].b).code());
+        ASSERT_TRUE(db.DeleteEntity(ents[slot].id).ok());
         ents.erase(ents.begin() + slot);
+        for (const OrderingSpec& o : kOrderings) check_predicates(o);
+        if (testing::Test::HasFatalFailure()) return;
       }
     } else if (dice < 0.42) {
       const Ent* note = pick({"NOTE"});
       if (note == nullptr) continue;
       const Value pitch = Value::Int(static_cast<int64_t>(rng.Uniform(4)));
-      ASSERT_TRUE(sliced.SetAttribute(note->a, "pitch", pitch).ok());
-      ASSERT_TRUE(plain.SetAttribute(note->b, "pitch", pitch).ok());
+      ASSERT_TRUE(db.SetAttribute(note->id, "pitch", pitch).ok());
     } else {
       // A query. `slice` names the single-slice shapes whose emit order
       // is checked against the navigation API.
@@ -739,7 +814,7 @@ TEST_P(OrderingAccessAblationFuzz, SlicedAndScannedStayEquivalent) {
           break;
       }
       auto rs_a = c_sliced.Execute(query);
-      auto rs_b = c_plain.Execute(query);
+      auto rs_b = c_naive.local_session()->ExecuteNaive(query);
       ASSERT_EQ(rs_a.ok(), rs_b.ok())
           << query << "\n" << rs_a.status().ToString() << " vs "
           << rs_b.status().ToString();
@@ -754,16 +829,16 @@ TEST_P(OrderingAccessAblationFuzz, SlicedAndScannedStayEquivalent) {
     }
   }
   EXPECT_GT(order_checks, 0);
-  // The ablated side never built a structural index and always scanned;
-  // the access-path side enumerated strictly fewer bindings.
-  er::OrderingIndexStats ablated = plain.ordering_index_stats();
-  EXPECT_EQ(ablated.rank_rebuilds + ablated.interval_rebuilds, 0u);
+  if (front_inserts) {
+    EXPECT_GT(front_inserts_done, 20);
+  }
+  // The slices enumerated strictly fewer bindings than the naive plan.
   EXPECT_LT(c_sliced.local_stats().rows_scanned,
-            c_plain.local_stats().rows_scanned);
+            c_naive.local_stats().rows_scanned);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OrderingAccessAblationFuzz,
-                         testing::Values(11u, 12u, 13u));
+                         testing::Values(11u, 12u, 13u, kFrontInsertSeed));
 
 // ----------------------------------------------------------------------
 // Durability: journal replay, snapshot round trip, power-cut sim.
@@ -843,12 +918,13 @@ TEST(IndexDurabilityTest, SnapshotRoundTripPreservesIndexes) {
   std::string path = IndexDbPath("snap");
   RemoveDbFiles(path);
   ASSERT_TRUE(er::SaveSnapshot(db, path).ok());
+  const uint64_t rebuilds = CounterValue("mdm_index_rebuilds_total");
   auto loaded = er::LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->AttrIndexDefs().size(), 1u);
   EXPECT_EQ(loaded->AttrIndexDefs()[0].attr, "name");
   // Trees are rebuilt on restore, not serialized.
-  EXPECT_GE(loaded->attr_index_stats().rebuilds, 1u);
+  EXPECT_GE(CounterValue("mdm_index_rebuilds_total") - rebuilds, 1u);
   ValidateIndexConsistency(*loaded);
   RemoveDbFiles(path);
 }

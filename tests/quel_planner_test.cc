@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <list>
+#include <optional>
 #include <regex>
 #include <string>
 #include <utility>
@@ -162,18 +163,13 @@ TEST_F(QuelPlannerTest, UnderReachesAnyDepth) {
   // Never reflexive, never upward.
   EXPECT_FALSE(*db_.Under(*h, section1_, section1_));
   EXPECT_FALSE(*db_.Under(*h, section1_, notes_[100]));
-  // The ablation path answers identically.
-  db_.EnableOrderingIndex(false);
-  EXPECT_TRUE(*db_.Under(*h, notes_[100], section1_));
-  EXPECT_FALSE(*db_.Under(*h, section1_, notes_[100]));
-  db_.EnableOrderingIndex(true);
 }
 
 TEST_F(QuelPlannerTest, UnderIndexSurvivesMutation) {
   auto h = db_.ResolveOrderingHandle("sec_tree");
   ASSERT_TRUE(h.ok());
-  EXPECT_TRUE(*db_.Under(*h, notes_[100], section1_));  // builds intervals
-  // Deepen the tree; the interval index must be invalidated.
+  EXPECT_TRUE(*db_.Under(*h, notes_[100], section1_));
+  // Deepen the tree; answers follow the new P-edges at once.
   EntityId section3 = AddChild("sec_tree", "SECTION", section2_, 3);
   EntityId deep = AddChild("sec_tree", "NOTE", section3, 300);
   EXPECT_TRUE(*db_.Under(*h, deep, section1_));
@@ -241,11 +237,11 @@ TEST_F(QuelPlannerTest, OrderingSliceDrivesOnlyEligibleConjuncts) {
       {"n1", "NOTE"}, {"n2", "NOTE"}, {"c", "CHORD"}};
   // Plans borrow the statement AST, so the statements outlive them.
   std::list<std::vector<Statement>> parsed;
-  auto plan_for = [&](const std::string& qual) {
+  auto plan_for = [&](const std::string& qual, bool pushdown = true) {
     auto stmts = ParseQuel("retrieve (n1.name) where " + qual);
     EXPECT_TRUE(stmts.ok()) << qual;
     parsed.push_back(std::move(*stmts));
-    auto plan = PlanQuery(&db_, ranges, parsed.back()[0], true);
+    auto plan = PlanQuery(&db_, ranges, parsed.back()[0], pushdown);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     return std::move(*plan);
   };
@@ -271,11 +267,11 @@ TEST_F(QuelPlannerTest, OrderingSliceDrivesOnlyEligibleConjuncts) {
   // Self pairs never drive.
   Plan self = plan_for("n1 before n1 in note_in_chord");
   EXPECT_STREQ(AccessPathName(self.vars[0]), "scan");
-  // A disabled ordering index keeps the scan.
-  db_.EnableOrderingIndex(false);
-  Plan ablated = plan_for("n2.name = 30 and n1 before n2 in note_in_chord");
-  EXPECT_STREQ(AccessPathName(ablated.vars[1]), "scan");
-  db_.EnableOrderingIndex(true);
+  // The naive plan keeps the scan.
+  Plan naive = plan_for("n2.name = 30 and n1 before n2 in note_in_chord",
+                        /*pushdown=*/false);
+  EXPECT_STREQ(AccessPathName(naive.vars[0]), "scan");
+  EXPECT_STREQ(AccessPathName(naive.vars[1]), "scan");
 }
 
 TEST_F(QuelPlannerTest, PlanBindsOrderingInsideOrAndNot) {
@@ -334,7 +330,6 @@ TEST_F(QuelPlannerTest, ExplainGolden) {
   EXPECT_EQ(rs->ToString(),
             "plan: retrieve\n"
             "  pushdown: on\n"
-            "  ordering index: on\n"
             "  loop 1: n2 is NOTE (~7 rows)\n"
             "    filter: n2.name = 30\n"
             "  loop 2: n1 is NOTE (~7 rows)"
@@ -343,7 +338,7 @@ TEST_F(QuelPlannerTest, ExplainGolden) {
   EXPECT_TRUE(rs->rows.empty());
 }
 
-TEST_F(QuelPlannerTest, ExplainUnderShowsIntervalIndexAndAblation) {
+TEST_F(QuelPlannerTest, ExplainUnderShowsOrderingSlice) {
   Connection conn = Connection::Local(&db_);
   const char* query =
       "range of n is NOTE\nrange of s is SECTION\n"
@@ -354,19 +349,21 @@ TEST_F(QuelPlannerTest, ExplainUnderShowsIntervalIndexAndAblation) {
   EXPECT_EQ(rs->ToString(),
             "plan: retrieve\n"
             "  pushdown: on\n"
-            "  ordering index: on\n"
             "  loop 1: s is SECTION (~2 rows)\n"
             "    filter: s.name = 1\n"
             "  loop 2: n is NOTE (~7 rows) via ordering sec_tree (under s)\n"
             "  emit: count(n)\n");
-  db_.EnableOrderingIndex(false);
-  auto ablated = conn.Execute(query);
-  ASSERT_TRUE(ablated.ok());
-  EXPECT_NE(ablated->ToString().find("[linear scan]"), std::string::npos);
-  EXPECT_NE(ablated->ToString().find("ordering index: off"),
-            std::string::npos);
-  // The ablation restores the scan: the conjunct is a filter again.
-  EXPECT_EQ(ablated->ToString().find("via ordering"), std::string::npos);
+  // The naive plan restores the scan: the conjunct is a filter again.
+  auto naive = conn.local_session()->ExecuteNaive(query);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_EQ(naive->ToString(),
+            "plan: retrieve\n"
+            "  pushdown: off\n"
+            "  loop 1: n is NOTE (~7 rows)\n"
+            "  loop 2: s is SECTION (~2 rows)\n"
+            "    filter: n under s in sec_tree\n"
+            "    filter: s.name = 1\n"
+            "  emit: count(n)\n");
 }
 
 TEST_F(QuelPlannerTest, ExplainNeverExecutes) {
@@ -417,7 +414,6 @@ TEST_F(QuelPlannerTest, ExplainAnalyzeGolden) {
   EXPECT_EQ(ScrubTimes(rs->ToString()),
             "plan: retrieve (analyze)\n"
             "  pushdown: on\n"
-            "  ordering index: on\n"
             "  loop 1: n2 is NOTE (~7 rows) [actual: in=7 out=1, "
             "self=Xns]\n"
             "    filter: n2.name = 30\n"
@@ -480,6 +476,44 @@ TEST_F(QuelPlannerTest, ExplainAnalyzeTimesSumToStatement) {
   EXPECT_GE(join_ns * 10, statement_ns * 9) << text;
 }
 
+TEST_F(QuelPlannerTest, ExplainAnalyzeChargesFiltersToTheirLoop) {
+  // Synthetic timings, so the attribution is exact: each depth's
+  // filters run inside inclusive_ns of that depth, but explain prints
+  // them under the loop that bound their variables, so that loop's self
+  // time must include them.
+  auto stmts = ParseQuel(
+      "range of n1, n2 is NOTE\n"
+      "explain analyze retrieve (n1.name) where n1.name = 10"
+      " and n2.name = 30");
+  ASSERT_TRUE(stmts.ok()) << stmts.status().ToString();
+  const Statement& stmt = (*stmts)[1];
+  auto plan = PlanQuery(&db_, {{"n1", "NOTE"}, {"n2", "NOTE"}}, stmt,
+                        /*pushdown=*/true);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  AnalyzeStats actual;
+  actual.Resize(3);
+  actual.calls = {1, 7, 7};
+  actual.passed = {1, 1, 1};
+  actual.inclusive_ns = {1000, 700, 150};
+  // 20ns of constant filters (none here, but the share stays in loop 1),
+  // 100ns of loop 1's filter, 40ns of loop 2's.
+  actual.filter_ns = {20, 100, 40};
+  // loop 1: (1000) - (700 - 100) = 400 = 300 enumerating + its 100.
+  // loop 2: (700 - 100) - (150 - 40) = 490 = 450 enumerating + its 40.
+  // emit: 150 - 40 = 110. And 400 + 490 + 110 = 1000 = join.
+  EXPECT_EQ(ExplainAnalyzePlan(db_, stmt, *plan, actual, 1234),
+            "plan: retrieve (analyze)\n"
+            "  pushdown: on\n"
+            "  loop 1: n1 is NOTE (~7 rows) [actual: in=7 out=1, "
+            "self=400ns]\n"
+            "    filter: n1.name = 10\n"
+            "  loop 2: n2 is NOTE (~7 rows) [actual: in=7 out=1, "
+            "self=490ns]\n"
+            "    filter: n2.name = 30\n"
+            "  emit: n1.name [actual: rows=1, time=110ns]\n"
+            "  actual: join=1000ns, statement=1234ns\n");
+}
+
 // ----------------------------------------------------------------------
 // ResultSet consumption API.
 // ----------------------------------------------------------------------
@@ -539,14 +573,11 @@ TEST_F(QuelPlannerTest, ExecStatsAndParseCache) {
   const ExecStats& after_second = conn.local_stats();
   EXPECT_EQ(after_second.statements, 4u);
   EXPECT_EQ(after_second.plan_cache_hits, 1u);
-  // The rank index was built during the first run; the re-run only hits.
-  EXPECT_GT(after_second.index_hits, after_first.index_hits);
 
   conn.local_session()->ResetStats();
   EXPECT_EQ(conn.local_stats().statements, 0u);
   EXPECT_EQ(conn.local_stats().ToString(),
             "statements: 0\nrows scanned: 0\nconjuncts evaluated: 0\n"
-            "ordering index hits: 0\nordering index misses: 0\n"
             "plan cache hits: 0\n");
 }
 
@@ -589,18 +620,17 @@ TEST_F(QuelPlannerTest, NaiveAndPlannedAgreeOnRecursiveUnder) {
   auto naive = conn.local_session()->ExecuteNaive(query);
   ASSERT_TRUE(naive.ok());
   EXPECT_EQ(Ints(*planned), Ints(*naive));
-  db_.EnableOrderingIndex(false);
-  auto ablated = conn.Execute(query);
-  ASSERT_TRUE(ablated.ok());
-  EXPECT_EQ(Ints(*planned), Ints(*ablated));
 }
 
 // ----------------------------------------------------------------------
-// Index-ablation equivalence property: a database with the ordering
-// index on and one with it off receive the SAME seeded random sequence
-// of mutations and queries, and every answer must match — the index is
-// a pure accelerator, never an oracle. 500+ ops per seed; a failure
-// prints the seed and op number for replay.
+// Index-ablation equivalence property: a database with an attribute
+// index on NOTE(name) and one without receive the SAME seeded random
+// sequence of mutations and queries, and every answer must match. The
+// ordering predicates must also agree with positions read off
+// Children()/ParentOf(), and each QUEL query runs planned on the
+// indexed database (ordering slice + index probe) and through the naive
+// plan on the other. 600 ops per seed; a failure prints the seed and op
+// number for replay.
 // ----------------------------------------------------------------------
 
 class IndexAblationFuzz : public testing::TestWithParam<uint64_t> {};
@@ -618,9 +648,7 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
                                 db)
                     .ok());
   }
-  plain.EnableOrderingIndex(false);
-  ASSERT_TRUE(indexed.ordering_index_enabled());
-  ASSERT_FALSE(plain.ordering_index_enabled());
+  ASSERT_TRUE(indexed.DefineIndex({"note_name", "NOTE", "name"}).ok());
 
   // Parallel id vectors: slot i refers to the same logical entity in
   // both databases (ids may differ; slots keep them aligned).
@@ -644,6 +672,15 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
 
   auto h_indexed = *indexed.ResolveOrderingHandle("note_in_chord");
   auto h_plain = *plain.ResolveOrderingHandle("note_in_chord");
+  // Reference position of a note from the navigation API: its offset
+  // in Children(ParentOf(note)), or nullopt when it is not ordered.
+  auto ref_position = [&](EntityId note) -> std::optional<size_t> {
+    const EntityId parent = *indexed.ParentOf(h_indexed, note);
+    if (parent == er::kInvalidEntityId) return std::nullopt;
+    const std::vector<EntityId> kids = *indexed.Children(h_indexed, parent);
+    return static_cast<size_t>(std::find(kids.begin(), kids.end(), note) -
+                               kids.begin());
+  };
   Connection c_indexed = Connection::Local(&indexed);
   Connection c_plain = Connection::Local(&plain);
 
@@ -692,6 +729,12 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
       ASSERT_EQ(before_a.ok(), before_b.ok());
       if (before_a.ok()) {
         ASSERT_EQ(*before_a, *before_b);
+        const std::optional<size_t> px = ref_position(xa);
+        const std::optional<size_t> py = ref_position(ya);
+        ASSERT_EQ(*before_a, px && py &&
+                                 *indexed.ParentOf(h_indexed, xa) ==
+                                     *indexed.ParentOf(h_indexed, ya) &&
+                                 *px < *py);
       }
       auto after_a = indexed.After(h_indexed, xa, ya);
       auto after_b = plain.After(h_plain, xb, yb);
@@ -707,12 +750,15 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
       ASSERT_EQ(under_a.ok(), under_b.ok());
       if (under_a.ok()) {
         ASSERT_EQ(*under_a, *under_b);
+        ASSERT_EQ(*under_a, *indexed.ParentOf(h_indexed, na) == ca);
       }
       auto pos_a = indexed.PositionOf(h_indexed, na);
       auto pos_b = plain.PositionOf(h_plain, nb);
       ASSERT_EQ(pos_a.ok(), pos_b.ok());
+      ASSERT_EQ(pos_a.ok(), ref_position(na).has_value());
       if (pos_a.ok()) {
         ASSERT_EQ(*pos_a, *pos_b);
+        ASSERT_EQ(*pos_a, *ref_position(na));
       }
     } else if (dice < 0.85 && !chords.empty()) {
       // Child lists must agree element-by-element (mapped via slots).
@@ -738,7 +784,7 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
           " n2 in note_in_chord and n2.name = " +
           std::to_string(rng.Uniform(static_cast<uint64_t>(next_name)));
       auto rs_a = c_indexed.Execute(query);
-      auto rs_b = c_plain.Execute(query);
+      auto rs_b = c_plain.local_session()->ExecuteNaive(query);
       ASSERT_EQ(rs_a.ok(), rs_b.ok());
       if (rs_a.ok()) {
         std::vector<int64_t> va, vb;
@@ -750,12 +796,10 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
       }
     }
   }
-  // The ablated database must never have built an index; the indexed
-  // one must have actually used its.
-  er::OrderingIndexStats ablated = plain.ordering_index_stats();
-  EXPECT_EQ(ablated.rank_rebuilds + ablated.interval_rebuilds, 0u);
-  er::OrderingIndexStats used = indexed.ordering_index_stats();
-  EXPECT_GT(used.rank_hits + used.interval_hits, 0u);
+  // The planned side's slices and probes enumerated strictly fewer
+  // bindings than the naive cross product.
+  EXPECT_LT(c_indexed.local_stats().rows_scanned,
+            c_plain.local_stats().rows_scanned);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexAblationFuzz,
