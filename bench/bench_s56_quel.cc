@@ -2,8 +2,9 @@
 // latency against chord size and database size; the DESIGN.md
 // evaluation-strategy ablation (conjunct push-down and the ordering
 // access paths versus the naive full cross product) as the corpus
-// grows; and the fig-1 analyzer/typesetter ops under a stream of note
-// inserts, which must not slow the ordering predicates down.
+// grows; the per-row cost of the fig-1 shapes that read every note they
+// enumerate; and the fig-1 analyzer/typesetter ops under a stream of
+// note inserts, which must not slow the ordering predicates down.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -185,6 +186,14 @@ constexpr const char* kA2Query =
     "range of n is NOTE range of s is STAFF "
     "retrieve (c = count(n)) where n under s in note_on_staff "
     "and s.number = 2";
+constexpr const char* kA3Query =
+    "range of n is NOTE range of s is STAFF "
+    "retrieve (c = count(n by n.degree)) where n under s in note_on_staff "
+    "and s.number = 2";
+constexpr const char* kA4Query =
+    "range of n is NOTE range of s is STAFF "
+    "retrieve (lo = min(n.midi_key), hi = max(n.midi_key)) "
+    "where n under s in note_on_staff and s.number = 2";
 constexpr const char* kT1Query =
     "range of n is NOTE range of s is STAFF "
     "retrieve (n.midi_key, n.degree) where n under s in note_on_staff "
@@ -237,6 +246,46 @@ std::string OrderingAccessRow(bool smoke) {
     }
   }
   return "{\"op\": \"ordering_access\", \"per_staff\": " +
+         std::to_string(kPerStaff) + ", \"cases\": [" + cases + "]}";
+}
+
+// The per-row cost of the fig-1 shapes that read attributes of every
+// note they enumerate (A1 reads one per n2 row, A3 groups by one, A4
+// aggregates one, T1 emits two): p50 latency divided by the bindings
+// the statement enumerates (rows_scanned), at 10^4 and 10^5 notes
+// (smoke: 1200 and 10^4) of kPerStaff notes per staff. The slice that
+// finds the notes is flat in the corpus size, so a flat ns_per_row
+// means reading a row costs the same at any size.
+std::string NsPerRowRow(bool smoke) {
+  const int iters = smoke ? 5 : 51;
+  std::string cases;
+  for (int staves : StaffCounts(smoke)) {
+    const int notes = staves * kPerStaff;
+    Database db = MakeStaffDb(staves, kPerStaff);
+    for (const auto& [shape, query] :
+         {std::pair<const char*, const char*>{"A1", kA1Query.c_str()},
+          std::pair<const char*, const char*>{"A3", kA3Query},
+          std::pair<const char*, const char*>{"A4", kA4Query},
+          std::pair<const char*, const char*>{"T1", kT1Query}}) {
+      mdm::quel::QuelSession session(&db);
+      auto run = [&, query = query] {
+        benchmark::DoNotOptimize(session.Execute(query)->size());
+      };
+      run();  // warm the parse cache
+      session.ResetStats();
+      std::vector<double> us;
+      for (int i = 0; i < iters; ++i) us.push_back(UsOf(run));
+      const double rows =
+          static_cast<double>(session.stats().rows_scanned) / iters;
+      const double p50 = Quantile(&us, 0.5);
+      if (!cases.empty()) cases += ", ";
+      cases += mdm::StrFormat(
+          "{\"shape\": \"%s\", \"notes\": %d, \"rows\": %.0f, "
+          "\"p50_us\": %.1f, \"ns_per_row\": %.1f}",
+          shape, notes, rows, p50, p50 * 1000.0 / rows);
+    }
+  }
+  return "{\"op\": \"ns_per_row\", \"per_staff\": " +
          std::to_string(kPerStaff) + ", \"cases\": [" + cases + "]}";
 }
 
@@ -298,7 +347,7 @@ std::string InsertChurnRow(bool smoke, std::vector<double>* ratios) {
 
 // The §5.6 dashboard line, one JSON object so runs can be diffed:
 // push-down vs the naive plan, the ordering access paths as the corpus
-// grows, and the insert-churn row.
+// grows, the per-row cost, and the insert-churn row.
 void EmitJson(bool smoke) {
   constexpr int kQueryIters = 10;
   // Registry deltas over the timed sections below (rows scanned,
@@ -319,14 +368,15 @@ void EmitJson(bool smoke) {
 
   std::vector<double> ratios;
   const std::string access = OrderingAccessRow(smoke);
+  const std::string per_row = NsPerRowRow(smoke);
   const std::string churn = InsertChurnRow(smoke, &ratios);
   std::printf(
       "BENCH_JSON {\"bench\": \"s56_quel\", \"results\": ["
       "{\"op\": \"pushdown_vs_naive\", \"planned_ns\": %.0f, "
-      "\"naive_ns\": %.0f, \"speedup\": %.1f}, %s, %s], "
+      "\"naive_ns\": %.0f, \"speedup\": %.1f}, %s, %s, %s], "
       "\"metrics\": {%s}}\n",
-      q_planned, q_naive, q_naive / q_planned, access.c_str(), churn.c_str(),
-      metrics.DeltaJson().c_str());
+      q_planned, q_naive, q_naive / q_planned, access.c_str(),
+      per_row.c_str(), churn.c_str(), metrics.DeltaJson().c_str());
   std::printf("acceptance (A1 p99 with churn <= 2x its churn-free p50):");
   for (double r : ratios) std::printf(" %.2fx", r);
   std::printf("\n\n");

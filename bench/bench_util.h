@@ -17,7 +17,7 @@ namespace mdm::bench {
 
 /// Installs the paper's NOTE/CHORD schema and populates `n_chords`
 /// chords with `notes_per_chord` notes each. Note names are sequential;
-/// chord names are 1-based.
+/// chord names are 1-based. The writes are published before it returns.
 inline er::Database MakeChordDb(int n_chords, int notes_per_chord) {
   er::Database db;
   auto ddl = ddl::ExecuteDdl(R"(
@@ -37,11 +37,15 @@ inline er::Database MakeChordDb(int n_chords, int notes_per_chord) {
       (void)db.AppendChild("note_in_chord", *chord, *note);
     }
   }
+  // Publish the direct-API writes, so timed reads take the snapshot path
+  // that server sessions take, not the shared-latch fallback.
+  db.PublishSnapshot();
   return db;
 }
 
 /// Builds a random single-voice score of `n_measures` measures in 4/4,
-/// four quarter-note single-note chords per measure.
+/// four quarter-note single-note chords per measure, and publishes it
+/// (see MakeChordDb).
 inline er::EntityId MakeRandomScore(er::Database* db, int n_measures,
                                     uint64_t seed = 7) {
   if (!cmn::InstallCmnSchema(db).ok()) std::abort();
@@ -59,6 +63,7 @@ inline er::EntityId MakeRandomScore(er::Database* db, int n_measures,
                                 55 + static_cast<int>(rng.Uniform(24)));
     }
   }
+  db->PublishSnapshot();
   return *score;
 }
 

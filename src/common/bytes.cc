@@ -10,11 +10,15 @@ void ByteWriter::PutU16(uint16_t v) {
 }
 
 void ByteWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
+  uint8_t b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+  PutBytes(b, sizeof(b));
 }
 
 void ByteWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
+  uint8_t b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+  PutBytes(b, sizeof(b));
 }
 
 void ByteWriter::PutF64(double v) {

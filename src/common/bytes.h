@@ -31,6 +31,8 @@ class ByteWriter {
   const std::vector<uint8_t>& data() const { return buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
+  /// Empties the buffer, keeping its capacity for reuse.
+  void Clear() { buf_.clear(); }
 
  private:
   std::vector<uint8_t> buf_;

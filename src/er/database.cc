@@ -275,6 +275,27 @@ const EntityRecord* Database::FindEntity(EntityId id) const {
   return p == nullptr ? nullptr : p->get();
 }
 
+void Database::FindEntities(const EntityId* ids, size_t n,
+                            const EntityRecord** out) const {
+  using EntityMap = PMap<EntityId, std::shared_ptr<EntityRecord>>;
+  constexpr size_t kLanes = EntityMap::kFindLanes;
+  const EntityMap& entities = ReadTables().entities;
+  for (size_t base = 0; base < n; base += kLanes) {
+    const size_t m = n - base < kLanes ? n - base : kLanes;
+    const std::shared_ptr<EntityRecord>* found[kLanes];
+    entities.FindMany(ids + base, m, found);
+    for (size_t i = 0; i < m; ++i) {
+      out[base + i] = found[i] == nullptr ? nullptr : found[i]->get();
+      if (out[base + i] != nullptr) __builtin_prefetch(out[base + i]);
+    }
+    // The attribute arrays live in their own allocations; start those
+    // loads too before anyone reads a value.
+    for (size_t i = 0; i < m; ++i)
+      if (out[base + i] != nullptr)
+        __builtin_prefetch(out[base + i]->attrs.data());
+  }
+}
+
 EntityRecord* Database::MutableEntity(EntityId id) {
   const std::shared_ptr<EntityRecord>* p = live_.entities.Find(id);
   if (p == nullptr) return nullptr;

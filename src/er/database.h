@@ -253,6 +253,16 @@ class Database {
   Status DeleteEntity(EntityId id);
   bool Exists(EntityId id) const;
   Result<std::string> TypeOf(EntityId id) const;
+  /// The stored records of `n` entities in the tables this thread
+  /// reads (the pinned snapshot under a SnapshotReadScope): out[i] is
+  /// the record of ids[i], or nullptr. Attribute j of a record is
+  /// attribute j of its type's definition. The lookups overlap in
+  /// memory (PMap::FindMany), and each record is prefetched. Records
+  /// stay valid while those tables are unchanged: one read statement,
+  /// or the enumeration of a mutating one (the QUEL executor fetches
+  /// each bound row's record once and reads its attributes by slot).
+  void FindEntities(const EntityId* ids, size_t n,
+                    const EntityRecord** out) const;
 
   Status SetAttribute(EntityId id, const std::string& attr, rel::Value value);
   Result<rel::Value> GetAttribute(EntityId id, const std::string& attr) const;

@@ -1,6 +1,7 @@
 #ifndef MDM_ER_PMAP_H_
 #define MDM_ER_PMAP_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -47,18 +48,24 @@ inline uint64_t PMapPriority(const std::string& key) {
 /// in key order; entity/relationship ids are monotonically assigned, so
 /// key order doubles as creation order for the id-keyed sets.
 ///
+/// Memory: the database holds several nodes per entity (its record,
+/// its type set, its place in each ordering), so a node is kept small —
+/// key, value, two child pointers and an intrusive reference count in
+/// one allocation. The priority is recomputed from the key, and the
+/// size is kept by the map, not by each node.
+///
 /// Thread safety: a PMap value is NOT synchronized — the owner mutates
 /// it under the database's exclusive latch. Copies of the map (sharing
 /// nodes) may be read freely from any thread: shared nodes are
-/// immutable after publication, and shared_ptr refcounts handle
-/// retirement once the last snapshot referencing a version drains.
+/// immutable after publication, and their atomic reference counts
+/// retire them once the last snapshot referencing a version drains.
 template <typename K, typename V>
 class PMap {
  public:
   PMap() = default;
 
-  size_t size() const { return root_ ? root_->count : 0; }
-  bool empty() const { return root_ == nullptr; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   /// Pointer to the value for `key`, or nullptr. The pointee lives as
   /// long as any map version containing the node does.
@@ -77,18 +84,52 @@ class PMap {
 
   bool Contains(const K& key) const { return Find(key) != nullptr; }
 
+  /// Find for `n` keys at once: out[i] = Find(keys[i]). Each descent is
+  /// a chain of dependent loads; walking up to kFindLanes of them in
+  /// lockstep lets their cache misses overlap instead of queueing.
+  void FindMany(const K* keys, size_t n, const V** out) const {
+    for (size_t base = 0; base < n; base += kFindLanes) {
+      const size_t m = n - base < kFindLanes ? n - base : kFindLanes;
+      const Node* cur[kFindLanes];
+      for (size_t i = 0; i < m; ++i) {
+        cur[i] = root_.get();
+        out[base + i] = nullptr;
+      }
+      for (size_t live = m; live > 0;) {
+        live = 0;
+        for (size_t i = 0; i < m; ++i) {
+          const Node* node = cur[i];
+          if (node == nullptr) continue;
+          const K& key = keys[base + i];
+          if (key < node->key) {
+            cur[i] = node->left.get();
+          } else if (node->key < key) {
+            cur[i] = node->right.get();
+          } else {
+            out[base + i] = &node->value;
+            cur[i] = nullptr;
+          }
+          if (cur[i] != nullptr) ++live;
+        }
+      }
+    }
+  }
+  static constexpr size_t kFindLanes = 16;
+
   /// Inserts or overwrites. O(log n) expected; path-copies the spine.
   void Insert(const K& key, V value) {
-    NodePtr l, e, r;
+    NodeRef l, e, r;
     SplitAt(root_, key, &l, &e, &r);
-    NodePtr fresh = std::make_shared<Node>(key, std::move(value));
+    if (!e) ++size_;
+    NodeRef fresh = NewNode(key, std::move(value), NodeRef(), NodeRef());
     root_ = Merge(Merge(std::move(l), std::move(fresh)), std::move(r));
   }
 
   /// Removes `key` if present. O(log n) expected.
   void Erase(const K& key) {
-    NodePtr l, e, r;
+    NodeRef l, e, r;
     SplitAt(root_, key, &l, &e, &r);
+    if (e) --size_;
     root_ = Merge(std::move(l), std::move(r));
   }
 
@@ -99,49 +140,78 @@ class PMap {
 
  private:
   struct Node;
-  using NodePtr = std::shared_ptr<const Node>;
 
-  struct Node {
-    Node(K k, V v)
-        : key(std::move(k)),
-          value(std::move(v)),
-          priority(PMapPriority(key)) {}
-    Node(const Node& o, NodePtr l, NodePtr r)
-        : key(o.key),
-          value(o.value),
-          priority(o.priority),
-          left(std::move(l)),
-          right(std::move(r)),
-          count(1 + (left ? left->count : 0) + (right ? right->count : 0)) {}
+  /// Owning reference to an immutable node (an intrusive shared_ptr).
+  class NodeRef {
+   public:
+    NodeRef() = default;
+    NodeRef(const NodeRef& o) : p_(o.p_) {
+      if (p_ != nullptr) p_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    NodeRef(NodeRef&& o) noexcept : p_(o.p_) { o.p_ = nullptr; }
+    NodeRef& operator=(NodeRef o) noexcept {
+      std::swap(p_, o.p_);
+      return *this;
+    }
+    ~NodeRef() {
+      if (p_ != nullptr &&
+          p_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        delete p_;
+    }
+    /// Takes the first reference to a freshly allocated node.
+    static NodeRef Adopt(const Node* p) {
+      NodeRef r;
+      r.p_ = p;
+      return r;
+    }
+    const Node* get() const { return p_; }
+    const Node* operator->() const { return p_; }
+    explicit operator bool() const { return p_ != nullptr; }
 
-    K key;
-    V value;
-    uint64_t priority;
-    NodePtr left;
-    NodePtr right;
-    size_t count = 1;
+   private:
+    const Node* p_ = nullptr;
   };
 
-  static NodePtr WithChildren(const NodePtr& n, NodePtr l, NodePtr r) {
-    return std::make_shared<Node>(*n, std::move(l), std::move(r));
+  // Field order keeps small-valued nodes in the smallest allocation.
+  struct Node {
+    Node(K k, V v, NodeRef l, NodeRef r)
+        : key(std::move(k)),
+          left(std::move(l)),
+          right(std::move(r)),
+          value(std::move(v)) {}
+
+    K key;
+    NodeRef left;
+    NodeRef right;
+    mutable std::atomic<uint32_t> refs{1};
+    V value;
+  };
+
+  static NodeRef NewNode(K key, V value, NodeRef l, NodeRef r) {
+    return NodeRef::Adopt(
+        new Node(std::move(key), std::move(value), std::move(l), std::move(r)));
+  }
+
+  static NodeRef WithChildren(const NodeRef& n, NodeRef l, NodeRef r) {
+    return NewNode(n->key, n->value, std::move(l), std::move(r));
   }
 
   /// Splits `n` into keys < key (*l), the key node if present (*e), and
   /// keys > key (*r). Path-copies the split spine.
-  static void SplitAt(const NodePtr& n, const K& key, NodePtr* l, NodePtr* e,
-                      NodePtr* r) {
+  static void SplitAt(const NodeRef& n, const K& key, NodeRef* l, NodeRef* e,
+                      NodeRef* r) {
     if (!n) {
-      l->reset();
-      e->reset();
-      r->reset();
+      *l = NodeRef();
+      *e = NodeRef();
+      *r = NodeRef();
       return;
     }
     if (key < n->key) {
-      NodePtr rl;
+      NodeRef rl;
       SplitAt(n->left, key, l, e, &rl);
       *r = WithChildren(n, std::move(rl), n->right);
     } else if (n->key < key) {
-      NodePtr lr;
+      NodeRef lr;
       SplitAt(n->right, key, &lr, e, r);
       *l = WithChildren(n, n->left, std::move(lr));
     } else {
@@ -151,10 +221,10 @@ class PMap {
     }
   }
 
-  static NodePtr Merge(NodePtr a, NodePtr b) {
+  static NodeRef Merge(NodeRef a, NodeRef b) {
     if (!a) return b;
     if (!b) return a;
-    if (a->priority >= b->priority)
+    if (PMapPriority(a->key) >= PMapPriority(b->key))
       return WithChildren(a, a->left, Merge(a->right, std::move(b)));
     return WithChildren(b, Merge(std::move(a), b->left), b->right);
   }
@@ -167,7 +237,8 @@ class PMap {
     return Walk(n->right.get(), fn);
   }
 
-  NodePtr root_;
+  NodeRef root_;
+  size_t size_ = 0;
 };
 
 }  // namespace mdm::er

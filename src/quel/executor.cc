@@ -99,190 +99,184 @@ obs::Counter* IndexProbeSelf() {
   return c;
 }
 
-/// What a range variable is bound to during evaluation.
-struct Binding {
-  bool is_relationship = false;
-  EntityId entity = er::kInvalidEntityId;
+/// What one plan slot is bound to while its loop runs: the entity id
+/// and, when the plan reads its attributes, the record the scan, probe
+/// or slice fetched for the current row, once; or the relationship
+/// instance.
+struct Bound {
+  EntityId id = er::kInvalidEntityId;
+  const er::EntityRecord* entity = nullptr;
   const RelationshipInstance* rel = nullptr;
 };
 
+/// The one evaluator of compiled plans (planner.h CompiledExpr /
+/// CompiledQual) over a frame of bound records: an attribute is
+/// `attrs[index]` of the record in its slot, read by reference. The hot
+/// path reports errors through `*err` instead of building a Result per
+/// node; only type errors (which depend on the values) arise here, name
+/// errors were raised by the planner.
 class Evaluator {
  public:
-  Evaluator(Database* db, const std::map<std::string, Binding>* bindings,
-            const std::map<const Qual*, er::OrderingHandle>* order_handles =
-                nullptr)
-      : db_(db), bindings_(bindings), order_handles_(order_handles) {}
+  Evaluator(const Database* db, const Plan* plan, const Bound* frame)
+      : db_(db), plan_(plan), frame_(frame) {}
 
-  Result<Value> Eval(const Expr& e) const {
+  /// The value of `e` under the frame: a reference into a bound record
+  /// or the AST literal, or into `*scratch` for computed refs. nullptr
+  /// on error, with `*err` set.
+  const Value* Eval(const CompiledExpr& e, Value* scratch,
+                    Status* err) const {
     switch (e.kind) {
-      case Expr::Kind::kLiteral:
-        return e.literal;
-      case Expr::Kind::kVarRef: {
-        MDM_ASSIGN_OR_RETURN(const Binding* b, Lookup(e.var));
-        if (b->is_relationship)
-          return TypeError("relationship variable " + e.var +
-                           " used as a value");
-        return Value::Ref(b->entity);
-      }
-      case Expr::Kind::kAttrRef: {
-        MDM_ASSIGN_OR_RETURN(const Binding* b, Lookup(e.var));
-        if (!b->is_relationship)
-          return db_->GetAttribute(b->entity, e.attr);
-        // Relationship variable: role access yields the bound entity,
-        // otherwise a relationship attribute.
-        const er::RelationshipDef& def =
-            db_->schema().relationships()[b->rel->rel_index];
-        auto role = def.RoleIndex(e.attr);
-        if (role.has_value()) return Value::Ref(b->rel->role_refs[*role]);
-        auto attr = def.AttributeIndex(e.attr);
-        if (attr.has_value()) return b->rel->attrs[*attr];
-        return NotFound(StrFormat("relationship %s has no role or "
-                                  "attribute %s",
-                                  def.name.c_str(), e.attr.c_str()));
-      }
+      case CompiledExpr::Kind::kLiteral:
+        return &e.src->literal;
+      case CompiledExpr::Kind::kEntity:
+        *scratch = Value::Ref(frame_[e.slot].id);
+        return scratch;
+      case CompiledExpr::Kind::kAttr:
+        return &frame_[e.slot].entity->attrs[e.index];
+      case CompiledExpr::Kind::kRole:
+        *scratch = Value::Ref(frame_[e.slot].rel->role_refs[e.index]);
+        return scratch;
+      case CompiledExpr::Kind::kRelAttr:
+        return &frame_[e.slot].rel->attrs[e.index];
+      case CompiledExpr::Kind::kRelValue:
+        *err = TypeError("relationship variable " + e.src->var +
+                         " used as a value");
+        return nullptr;
     }
-    return Internal("unreachable expr kind");
+    *err = Internal("unreachable expr kind");
+    return nullptr;
   }
 
-  Result<bool> Test(const Qual& q) const {
+  /// Tests compiled qualification node `node`: 1 holds, 0 does not, -1
+  /// error (with `*err` set).
+  int Test(uint32_t node, Status* err) const {
+    const CompiledQual& q = plan_->quals[node];
     switch (q.kind) {
       case Qual::Kind::kCompare: {
-        MDM_ASSIGN_OR_RETURN(Value lhs, Eval(q.lhs));
-        MDM_ASSIGN_OR_RETURN(Value rhs, Eval(q.rhs));
-        MDM_ASSIGN_OR_RETURN(int c, lhs.Compare(rhs));
-        switch (q.cmp) {
-          case CompareOp::kEq: return c == 0;
-          case CompareOp::kNe: return c != 0;
-          case CompareOp::kLt: return c < 0;
-          case CompareOp::kLe: return c <= 0;
-          case CompareOp::kGt: return c > 0;
-          case CompareOp::kGe: return c >= 0;
+        Value ls, rs;
+        const Value* lhs = Eval(q.lhs, &ls, err);
+        if (lhs == nullptr) return -1;
+        const Value* rhs = Eval(q.rhs, &rs, err);
+        if (rhs == nullptr) return -1;
+        std::optional<int> c = lhs->TryCompare(*rhs);
+        if (!c.has_value()) {
+          *err = lhs->Compare(*rhs).status();
+          return -1;
         }
-        return Internal("unreachable compare op");
+        switch (q.cmp) {
+          case CompareOp::kEq: return *c == 0;
+          case CompareOp::kNe: return *c != 0;
+          case CompareOp::kLt: return *c < 0;
+          case CompareOp::kLe: return *c <= 0;
+          case CompareOp::kGt: return *c > 0;
+          case CompareOp::kGe: return *c >= 0;
+        }
+        *err = Internal("unreachable compare op");
+        return -1;
       }
       case Qual::Kind::kIs: {
-        MDM_ASSIGN_OR_RETURN(Value lhs, Eval(q.lhs));
-        MDM_ASSIGN_OR_RETURN(Value rhs, Eval(q.rhs));
+        Value ls, rs;
+        const Value* lhs = Eval(q.lhs, &ls, err);
+        if (lhs == nullptr) return -1;
+        const Value* rhs = Eval(q.rhs, &rs, err);
+        if (rhs == nullptr) return -1;
         // A null operand designates no entity, so `is` is simply false
         // — NOT a TypeError. This must agree with the index-probe path
         // (planner.h), which never enumerates null-valued rows: were
         // null an error here, an index probe would mask it and ablation
         // equivalence would break.
-        if (lhs.is_null() || rhs.is_null()) return false;
-        if (lhs.type() != ValueType::kRef || rhs.type() != ValueType::kRef)
-          return TypeError("'is' compares entities, not values");
-        return lhs.AsRef() == rhs.AsRef();
+        if (lhs->is_null() || rhs->is_null()) return 0;
+        if (lhs->type() != ValueType::kRef || rhs->type() != ValueType::kRef) {
+          *err = TypeError("'is' compares entities, not values");
+          return -1;
+        }
+        return lhs->AsRef() == rhs->AsRef();
       }
       case Qual::Kind::kOrder: {
-        MDM_ASSIGN_OR_RETURN(const Binding* b1, Lookup(q.order_var1));
-        MDM_ASSIGN_OR_RETURN(const Binding* b2, Lookup(q.order_var2));
-        if (b1->is_relationship || b2->is_relationship)
-          return TypeError("ordering operators apply to entities");
-        // Planned statements carry a pre-resolved handle; the slow
-        // per-row name resolution remains only for un-planned callers.
-        if (order_handles_ != nullptr) {
-          auto it = order_handles_->find(&q);
-          if (it != order_handles_->end())
-            return TestOrder(q.order_op, it->second, b1->entity, b2->entity);
+        const EntityId a = frame_[q.slot1].id;
+        const EntityId b = frame_[q.slot2].id;
+        Result<bool> r = q.order_op == OrderOp::kBefore
+                             ? db_->Before(q.ordering, a, b)
+                         : q.order_op == OrderOp::kAfter
+                             ? db_->After(q.ordering, a, b)
+                             : db_->Under(q.ordering, a, b);
+        if (!r.ok()) {
+          *err = r.status();
+          return -1;
         }
-        MDM_ASSIGN_OR_RETURN(std::string name,
-                             ResolveOrderingName(q, *b1, *b2));
-        MDM_ASSIGN_OR_RETURN(er::OrderingHandle h,
-                             db_->ResolveOrderingHandle(name));
-        return TestOrder(q.order_op, h, b1->entity, b2->entity);
+        return *r;
       }
       case Qual::Kind::kAnd: {
-        MDM_ASSIGN_OR_RETURN(bool a, Test(*q.a));
-        if (!a) return false;
-        return Test(*q.b);
+        int a = Test(q.a, err);
+        return a == 1 ? Test(q.b, err) : a;
       }
       case Qual::Kind::kOr: {
-        MDM_ASSIGN_OR_RETURN(bool a, Test(*q.a));
-        if (a) return true;
-        return Test(*q.b);
+        int a = Test(q.a, err);
+        return a == 0 ? Test(q.b, err) : a;
       }
       case Qual::Kind::kNot: {
-        MDM_ASSIGN_OR_RETURN(bool a, Test(*q.a));
-        return !a;
+        int a = Test(q.a, err);
+        return a < 0 ? a : 1 - a;
       }
     }
-    return Internal("unreachable qual kind");
+    *err = Internal("unreachable qual kind");
+    return -1;
   }
+
+  const Bound& bound(uint32_t slot) const { return frame_[slot]; }
 
  private:
-  Result<const Binding*> Lookup(const std::string& var) const {
-    auto it = bindings_->find(AsciiLower(var));
-    if (it == bindings_->end())
-      return NotFound("unbound range variable " + var);
-    return &it->second;
-  }
-
-  Result<bool> TestOrder(OrderOp op, er::OrderingHandle h, EntityId a,
-                         EntityId b) const {
-    switch (op) {
-      case OrderOp::kBefore: return db_->Before(h, a, b);
-      case OrderOp::kAfter: return db_->After(h, a, b);
-      case OrderOp::kUnder: return db_->Under(h, a, b);
-    }
-    return Internal("unreachable order op");
-  }
-
-  // `in ordering` may be omitted when exactly one ordering applies to
-  // the operand types.
-  Result<std::string> ResolveOrderingName(const Qual& q, const Binding& b1,
-                                          const Binding& b2) const {
-    if (!q.ordering.empty()) return q.ordering;
-    MDM_ASSIGN_OR_RETURN(std::string t1, db_->TypeOf(b1.entity));
-    MDM_ASSIGN_OR_RETURN(std::string t2, db_->TypeOf(b2.entity));
-    std::vector<std::string> candidates;
-    for (const er::OrderingDef& o : db_->schema().orderings()) {
-      bool match =
-          q.order_op == OrderOp::kUnder
-              ? o.HasChildType(t1) && EqualsIgnoreCase(o.parent_type, t2)
-              : o.HasChildType(t1) && o.HasChildType(t2);
-      if (match) candidates.push_back(o.name);
-    }
-    if (candidates.empty())
-      return NotFound(StrFormat("no ordering relates %s and %s",
-                                t1.c_str(), t2.c_str()));
-    if (candidates.size() > 1)
-      return InvalidArgument(StrFormat(
-          "ambiguous ordering between %s and %s; use 'in <name>'",
-          t1.c_str(), t2.c_str()));
-    return candidates[0];
-  }
-
-  Database* db_;
-  const std::map<std::string, Binding>* bindings_;
-  const std::map<const Qual*, er::OrderingHandle>* order_handles_;
+  const Database* db_;
+  const Plan* plan_;
+  const Bound* frame_;
 };
 
-/// Enumerates bindings for the plan's variables as nested loops,
-/// evaluating each conjunct at its planned depth. Calls `emit` for every
-/// qualifying full binding. `stats` (optional) accumulates row/conjunct
-/// counters; `actual` (optional, `explain analyze`) records per-depth
-/// call/pass counts and inclusive timings — when null the join pays no
-/// timing overhead.
+/// Enumerates bindings for the plan's variables as nested loops, binding
+/// loop k's record into frame slot k and evaluating each conjunct at its
+/// planned depth. Calls `emit` for every qualifying full binding. Rows
+/// and conjunct tests are counted locally (rows_scanned(),
+/// conjuncts_evaluated()) for the caller to publish once per statement.
+/// `actual` (optional, `explain analyze`) records per-depth call/pass
+/// counts and inclusive timings — when null the join pays no timing
+/// overhead.
 class NestedLoopJoin {
  public:
-  NestedLoopJoin(Database* db, const Plan* plan, ExecCounters* stats,
+  NestedLoopJoin(const Database* db, const Plan* plan,
                  AnalyzeStats* actual = nullptr)
-      : db_(db), plan_(plan), stats_(stats), actual_(actual) {}
+      : db_(db),
+        plan_(plan),
+        actual_(actual),
+        frame_(plan->vars.size()),
+        eval_(db, plan, frame_.data()),
+        filters_begin_(plan->vars.size() + 2, 0) {
+    batches_.resize(plan->vars.size());
+    // plan->conjuncts is sorted by depth: depth k's filters are
+    // [filters_begin_[k], filters_begin_[k + 1]).
+    for (const PlannedConjunct& c : plan->conjuncts)
+      ++filters_begin_[c.depth + 1];
+    for (size_t k = 1; k < filters_begin_.size(); ++k)
+      filters_begin_[k] += filters_begin_[k - 1];
+  }
 
-  Status Run(const std::function<Status(
-                 const std::map<std::string, Binding>&)>& emit) {
+  const Evaluator& eval() const { return eval_; }
+  uint64_t rows_scanned() const { return rows_scanned_; }
+  uint64_t conjuncts_evaluated() const { return conjuncts_evaluated_; }
+
+  Status Run(const std::function<Status()>& emit) {
     emit_ = &emit;
-    return Descend(0);
+    Descend(0);
+    return std::move(err_);
   }
 
  private:
-  Status Descend(size_t depth) {
+  // Each returns false once err_ is set, unwinding every loop.
+  bool Descend(size_t depth) {
     if (actual_ == nullptr) return DescendImpl(depth);
     ++actual_->calls[depth];
     auto t0 = std::chrono::steady_clock::now();
-    Status s = DescendImpl(depth);
+    bool ok = DescendImpl(depth);
     actual_->inclusive_ns[depth] += NsSince(t0);
-    return s;
+    return ok;
   }
 
   static uint64_t NsSince(std::chrono::steady_clock::time_point t0) {
@@ -292,102 +286,125 @@ class NestedLoopJoin {
             .count());
   }
 
-  // Evaluates the conjuncts that became fully bound at this depth.
-  Result<bool> PassesFilters(size_t depth, const Evaluator& eval) {
-    for (const PlannedConjunct& c : plan_->conjuncts) {
-      if (c.depth != depth) continue;
-      if (stats_ != nullptr) {
-        stats_->conjuncts_evaluated.fetch_add(1, std::memory_order_relaxed);
-        QuelCounters::Get().conjuncts->Inc();
-      }
-      MDM_ASSIGN_OR_RETURN(bool pass, eval.Test(*c.qual));
-      if (!pass) return false;
+  // Evaluates the conjuncts that became fully bound at this depth: 1
+  // all pass, 0 one fails, -1 error.
+  int PassesFilters(size_t depth) {
+    for (uint32_t i = filters_begin_[depth]; i < filters_begin_[depth + 1];
+         ++i) {
+      ++conjuncts_evaluated_;
+      int pass = eval_.Test(plan_->conjuncts[i].root, &err_);
+      if (pass != 1) return pass;
     }
-    return true;
+    return 1;
   }
 
-  Status DescendImpl(size_t depth) {
-    Evaluator eval(db_, &bindings_, &plan_->order_handles);
+  bool DescendImpl(size_t depth) {
     // Filters are timed on their own: explain prints them under loop
     // `depth`, so the renderer charges their time to it.
     std::chrono::steady_clock::time_point t0;
     if (actual_ != nullptr) t0 = std::chrono::steady_clock::now();
-    Result<bool> pass = PassesFilters(depth, eval);
+    int pass = PassesFilters(depth);
     if (actual_ != nullptr) actual_->filter_ns[depth] += NsSince(t0);
-    MDM_RETURN_IF_ERROR(pass.status());
-    if (!*pass) return Status::OK();
+    if (pass < 0) return false;
+    if (pass == 0) return true;
     if (actual_ != nullptr) ++actual_->passed[depth];
-    if (depth == plan_->vars.size()) return (*emit_)(bindings_);
+    if (depth == plan_->vars.size()) {
+      err_ = (*emit_)();
+      return err_.ok();
+    }
     const PlannedVar& var = plan_->vars[depth];
-    const std::string& key = var.name;  // already lowercased by the planner
-    Status inner;
+    Bound& slot = frame_[depth];
+    Status s;
     if (var.is_relationship) {
-      MDM_RETURN_IF_ERROR(db_->ForEachRelationship(
+      s = db_->ForEachRelationship(
           var.type, [&](const RelationshipInstance& ri) {
-            if (stats_ != nullptr) {
-              stats_->rows_scanned.fetch_add(1, std::memory_order_relaxed);
-              QuelCounters::Get().rows_scanned->Inc();
-            }
-            Binding b;
-            b.is_relationship = true;
-            b.rel = &ri;
-            bindings_[key] = b;
-            inner = Descend(depth + 1);
-            return inner.ok();
-          }));
+            ++rows_scanned_;
+            slot.rel = &ri;
+            return Descend(depth + 1);
+          });
     } else {
-      auto visit = [&](EntityId id) {
-        if (stats_ != nullptr) {
-          stats_->rows_scanned.fetch_add(1, std::memory_order_relaxed);
-          QuelCounters::Get().rows_scanned->Inc();
+      // A loop that reads its records binds ids in batches: the batch's
+      // record lookups overlap in memory (Database::FindEntities) before
+      // its rows run in order. On a cold cache each row would otherwise
+      // wait on its lookup's chain of loads in turn.
+      std::vector<EntityId>& batch = batches_[depth];
+      auto flush = [&] {
+        const er::EntityRecord* recs[kBatch];
+        db_->FindEntities(batch.data(), batch.size(), recs);
+        bool ok = true;
+        for (size_t i = 0; ok && i < batch.size(); ++i) {
+          slot.id = batch[i];
+          slot.entity = recs[i];
+          if (slot.entity == nullptr) {
+            err_ = NotFound(
+                StrFormat("no entity #%llu", (unsigned long long)batch[i]));
+            ok = false;
+          } else {
+            ok = Descend(depth + 1);
+          }
         }
-        Binding b;
-        b.entity = id;
-        bindings_[key] = b;
-        inner = Descend(depth + 1);
-        return inner.ok();
+        batch.clear();
+        return ok;
+      };
+      auto visit = [&](EntityId id) {
+        ++rows_scanned_;
+        if (!var.reads_record) {
+          slot.id = id;
+          return Descend(depth + 1);
+        }
+        batch.push_back(id);
+        return batch.size() < kBatch || flush();
       };
       bool driven = false;
       if (var.slice_qual != nullptr) {
         // Ordering access path: the anchor is bound by an outer loop,
         // and the slice yields exactly the entities its conjunct admits.
         driven = true;
-        const EntityId anchor = bindings_.at(var.slice_anchor).entity;
-        MDM_RETURN_IF_ERROR(db_->ForEachInOrderingSlice(
-            var.slice_ordering, var.slice, anchor, var.type_index, visit));
+        s = db_->ForEachInOrderingSlice(
+            var.slice_ordering, var.slice,
+            frame_[var.slice_anchor_slot].id, var.type_index, visit);
       } else if (var.index != nullptr) {
         // Index-backed loop: evaluate the key over the outer bindings
         // and enumerate only matching candidates. A null key falls
         // through to the scan (nulls are never indexed, but
         // Value::Compare treats null = null as a match, so only the
         // scan path sees those rows).
-        MDM_ASSIGN_OR_RETURN(Value probe_key, eval.Eval(*var.index_key));
-        if (!probe_key.is_null()) {
+        Value scratch;
+        const Value* probe_key = eval_.Eval(var.index_key, &scratch, &err_);
+        if (probe_key == nullptr) return false;
+        if (!probe_key->is_null()) {
           driven = true;
           std::vector<EntityId> candidates;
           {
             obs::Span span("quel.index_probe", IndexProbeDuration(),
                            IndexProbeSelf());
-            candidates = db_->IndexLookup(*var.index, probe_key);
+            candidates = db_->IndexLookup(*var.index, *probe_key);
           }
           for (EntityId id : candidates)
             if (!visit(id)) break;
         }
       }
-      if (!driven)
-        MDM_RETURN_IF_ERROR(db_->ForEachEntity(var.type, visit));
+      if (!driven) s = db_->ForEachEntity(var.type, visit);
+      if (!batch.empty() && err_.ok()) flush();
+      batch.clear();
     }
-    bindings_.erase(key);
-    return inner;
+    if (!s.ok() && err_.ok()) err_ = std::move(s);
+    return err_.ok();
   }
 
-  Database* db_;
+  const Database* db_;
   const Plan* plan_;
-  ExecCounters* stats_;
   AnalyzeStats* actual_;
-  std::map<std::string, Binding> bindings_;
-  const std::function<Status(const std::map<std::string, Binding>&)>* emit_ =
-      nullptr;
+  static constexpr size_t kBatch = 16;
+
+  std::vector<Bound> frame_;
+  std::vector<std::vector<EntityId>> batches_;  // per depth, reused
+  Evaluator eval_;
+  std::vector<uint32_t> filters_begin_;
+  uint64_t rows_scanned_ = 0;
+  uint64_t conjuncts_evaluated_ = 0;
+  Status err_;
+  const std::function<Status()>* emit_ = nullptr;
 };
 
 /// Aggregate accumulator for one target.
@@ -413,10 +430,12 @@ struct AggState {
       min_v = v;
       max_v = v;
     } else {
-      MDM_ASSIGN_OR_RETURN(int cmin, v.Compare(min_v));
-      if (cmin < 0) min_v = v;
-      MDM_ASSIGN_OR_RETURN(int cmax, v.Compare(max_v));
-      if (cmax > 0) max_v = v;
+      std::optional<int> cmin = v.TryCompare(min_v);
+      if (!cmin.has_value()) return v.Compare(min_v).status();
+      if (*cmin < 0) min_v = v;
+      std::optional<int> cmax = v.TryCompare(max_v);
+      if (!cmax.has_value()) return v.Compare(max_v).status();
+      if (*cmax > 0) max_v = v;
     }
     return Status::OK();
   }
@@ -638,49 +657,56 @@ Status QuelSession::RunStatement(const Statement& stmt, bool pushdown,
         break;
       }
       case Statement::Kind::kAppend: {
+        // An assignment reads literals only, or (with `under v`) the
+        // parent v; any other variable has no binding.
+        for (const auto& [attr, expr] : stmt.assignments) {
+          if (expr.kind != Expr::Kind::kLiteral &&
+              (stmt.append_parent_var.empty() ||
+               !EqualsIgnoreCase(expr.var, stmt.append_parent_var)))
+            return NotFound("unbound range variable " + expr.var);
+        }
         if (!stmt.append_parent_var.empty()) {
-          // `append ... under v in ordering [where qual]`: bind v via a
-          // synthetic retrieve (the exclusive latch is already held;
-          // RunQueryImpl takes none itself), then create one entity per
-          // distinct parent and append it as the last child. Duplicate
-          // parent bindings from a join collapse to one append each.
+          // `append ... under v in ordering [where qual]`: bind v, and
+          // evaluate the assignments over it, via a synthetic retrieve
+          // (the exclusive latch is already held; RunQueryImpl takes
+          // none itself), then create one entity per distinct parent
+          // and append it as the last child. Duplicate parent bindings
+          // from a join collapse to one append each. The parent stays
+          // bound for the assignments, so `append to X (a = v.b) under
+          // v ...` copies from the parent.
           Statement query;
           query.kind = Statement::Kind::kRetrieve;
-          Target t;
-          t.label = "parent";
-          t.expr = Expr::VarRef(stmt.append_parent_var);
-          query.targets.push_back(std::move(t));
+          Target parent_target;
+          parent_target.label = "parent";
+          parent_target.expr = Expr::VarRef(stmt.append_parent_var);
+          query.targets.push_back(std::move(parent_target));
+          for (const auto& [attr, expr] : stmt.assignments) {
+            Target t;
+            t.label = attr;
+            t.expr = expr;
+            query.targets.push_back(std::move(t));
+          }
           if (stmt.qual != nullptr) query.qual = CloneQual(*stmt.qual);
           MDM_ASSIGN_OR_RETURN(
               ResultSet parent_rows,
               RunQueryImpl(db_, *ranges, query, pushdown, &stats_, nullptr));
           std::set<EntityId> seen;
-          std::vector<EntityId> parents;
+          std::vector<const std::vector<Value>*> parents;
           for (const auto& row : parent_rows.rows) {
             if (row.empty() || row[0].type() != ValueType::kRef)
               return TypeError("append-under parent must be an entity");
-            if (seen.insert(row[0].AsRef()).second)
-              parents.push_back(row[0].AsRef());
+            if (seen.insert(row[0].AsRef()).second) parents.push_back(&row);
           }
           MDM_ASSIGN_OR_RETURN(
               er::OrderingHandle h,
               db_->ResolveOrderingHandle(stmt.append_ordering));
-          for (EntityId parent : parents) {
-            // The parent variable stays bound during assignment
-            // evaluation, so `append to X (a = v.b) under v ...` copies
-            // from the parent.
-            std::map<std::string, Binding> binds;
-            Binding pb;
-            pb.entity = parent;
-            binds[AsciiLower(stmt.append_parent_var)] = pb;
-            Evaluator eval(db_, &binds);
+          for (const std::vector<Value>* row : parents) {
             MDM_ASSIGN_OR_RETURN(EntityId id,
                                  db_->CreateEntity(stmt.append_type));
-            for (const auto& [attr, expr] : stmt.assignments) {
-              MDM_ASSIGN_OR_RETURN(Value v, eval.Eval(expr));
-              MDM_RETURN_IF_ERROR(db_->SetAttribute(id, attr, std::move(v)));
-            }
-            MDM_RETURN_IF_ERROR(db_->AppendChild(h, parent, id));
+            for (size_t i = 0; i < stmt.assignments.size(); ++i)
+              MDM_RETURN_IF_ERROR(db_->SetAttribute(
+                  id, stmt.assignments[i].first, (*row)[i + 1]));
+            MDM_RETURN_IF_ERROR(db_->AppendChild(h, (*row)[0].AsRef(), id));
           }
           last = ResultSet{};
           last.affected = parents.size();
@@ -688,12 +714,8 @@ Status QuelSession::RunStatement(const Statement& stmt, bool pushdown,
         }
         MDM_ASSIGN_OR_RETURN(EntityId id,
                              db_->CreateEntity(stmt.append_type));
-        std::map<std::string, Binding> empty;
-        Evaluator eval(db_, &empty);
-        for (const auto& [attr, expr] : stmt.assignments) {
-          MDM_ASSIGN_OR_RETURN(Value v, eval.Eval(expr));
-          MDM_RETURN_IF_ERROR(db_->SetAttribute(id, attr, std::move(v)));
-        }
+        for (const auto& [attr, expr] : stmt.assignments)
+          MDM_RETURN_IF_ERROR(db_->SetAttribute(id, attr, expr.literal));
         last = ResultSet{};
         last.affected = 1;
         break;
@@ -779,89 +801,117 @@ Result<ResultSet> RunQueryImpl(
   }
 
   std::vector<AggState> agg_states(stmt.targets.size());
-  // Grouped-aggregate accumulation, keyed by encoded by-values.
-  std::vector<std::string> group_order;
-  std::map<std::string, std::pair<std::vector<Value>, AggState>> groups;
+  // Grouped-aggregate accumulation, keyed by the encoded by-values. The
+  // key is encoded into one reused buffer per row; a group's by-values
+  // are copied out only when the group is first seen.
+  struct Group {
+    std::vector<Value> by_values;
+    AggState state;
+  };
+  std::map<std::string, Group, std::less<>> groups;
+  std::vector<Group*> group_order;
+  ByteWriter group_key;
+  std::vector<Value> by_scratch(plan.by.size());
+  std::vector<const Value*> by_ptrs(plan.by.size());
   // Deferred mutations (applied after enumeration so iteration order is
   // never invalidated).
-  std::vector<std::pair<EntityId, std::vector<std::pair<std::string, Value>>>>
-      replacements;
+  std::vector<std::pair<EntityId, std::vector<Value>>> replacements;
   std::set<EntityId> deletions;
 
-  NestedLoopJoin join(db, &plan, stats, collect ? &actual : nullptr);
-  MDM_RETURN_IF_ERROR(join.Run([&](const std::map<std::string, Binding>&
-                                       bindings) -> Status {
-    Evaluator eval(db, &bindings, &plan.order_handles);
+  NestedLoopJoin join(db, &plan, collect ? &actual : nullptr);
+  const Evaluator& eval = join.eval();
+  Status err;
+  Value scratch;
+  Status run = join.Run([&]() -> Status {
     switch (stmt.kind) {
       case Statement::Kind::kRetrieve: {
         if (has_by) {
-          const Target& t = stmt.targets[0];
-          std::vector<Value> by_values;
-          ByteWriter key;
-          for (const Expr& by_expr : t.by) {
-            MDM_ASSIGN_OR_RETURN(Value v, eval.Eval(by_expr));
-            v.Encode(&key);
-            by_values.push_back(std::move(v));
+          group_key.Clear();
+          for (size_t i = 0; i < plan.by.size(); ++i) {
+            by_ptrs[i] = eval.Eval(plan.by[i], &by_scratch[i], &err);
+            if (by_ptrs[i] == nullptr) return err;
+            by_ptrs[i]->Encode(&group_key);
           }
-          std::string encoded(
-              reinterpret_cast<const char*>(key.data().data()), key.size());
-          auto [it, inserted] = groups.try_emplace(
-              encoded, std::move(by_values), AggState{});
-          if (inserted) group_order.push_back(encoded);
-          if (t.agg == AggFn::kCount && t.expr.kind == Expr::Kind::kVarRef) {
-            ++it->second.second.count;
-          } else {
-            MDM_ASSIGN_OR_RETURN(Value v, eval.Eval(t.expr));
-            MDM_RETURN_IF_ERROR(it->second.second.Feed(v));
+          std::string_view key(
+              reinterpret_cast<const char*>(group_key.data().data()),
+              group_key.size());
+          auto it = groups.find(key);
+          if (it == groups.end()) {
+            Group g;
+            for (const Value* v : by_ptrs) g.by_values.push_back(*v);
+            it = groups.emplace(std::string(key), std::move(g)).first;
+            group_order.push_back(&it->second);
           }
-          return Status::OK();
+          AggState& state = it->second.state;
+          if (stmt.targets[0].agg == AggFn::kCount &&
+              stmt.targets[0].expr.kind == Expr::Kind::kVarRef) {
+            ++state.count;  // count(var) counts rows
+            return Status::OK();
+          }
+          const Value* v = eval.Eval(plan.targets[0], &scratch, &err);
+          if (v == nullptr) return err;
+          return state.Feed(*v);
         }
         if (has_agg) {
-          for (size_t i = 0; i < stmt.targets.size(); ++i) {
-            const Target& t = stmt.targets[i];
-            if (t.agg == AggFn::kCount &&
-                t.expr.kind == Expr::Kind::kVarRef) {
+          for (size_t i = 0; i < plan.targets.size(); ++i) {
+            if (stmt.targets[i].agg == AggFn::kCount &&
+                stmt.targets[i].expr.kind == Expr::Kind::kVarRef) {
               ++agg_states[i].count;  // count(var) counts rows
               continue;
             }
-            MDM_ASSIGN_OR_RETURN(Value v, eval.Eval(t.expr));
-            MDM_RETURN_IF_ERROR(agg_states[i].Feed(v));
+            const Value* v = eval.Eval(plan.targets[i], &scratch, &err);
+            if (v == nullptr) return err;
+            MDM_RETURN_IF_ERROR(agg_states[i].Feed(*v));
           }
         } else {
           std::vector<Value> row;
-          for (const Target& t : stmt.targets) {
-            MDM_ASSIGN_OR_RETURN(Value v, eval.Eval(t.expr));
-            row.push_back(std::move(v));
+          row.reserve(plan.targets.size());
+          for (const CompiledExpr& t : plan.targets) {
+            const Value* v = eval.Eval(t, &scratch, &err);
+            if (v == nullptr) return err;
+            row.push_back(*v);
           }
           rs.rows.push_back(std::move(row));
         }
         return Status::OK();
       }
       case Statement::Kind::kReplace: {
-        auto it = bindings.find(AsciiLower(stmt.update_var));
-        if (it == bindings.end() || it->second.is_relationship)
+        if (plan.vars[plan.update_slot].is_relationship)
           return InvalidArgument("replace target must be an entity "
                                  "range variable");
-        std::vector<std::pair<std::string, Value>> sets;
-        for (const auto& [attr, expr] : stmt.assignments) {
-          MDM_ASSIGN_OR_RETURN(Value v, eval.Eval(expr));
-          sets.emplace_back(attr, std::move(v));
+        std::vector<Value> sets;
+        sets.reserve(plan.assignments.size());
+        for (const CompiledExpr& a : plan.assignments) {
+          const Value* v = eval.Eval(a, &scratch, &err);
+          if (v == nullptr) return err;
+          sets.push_back(*v);
         }
-        replacements.emplace_back(it->second.entity, std::move(sets));
+        replacements.emplace_back(eval.bound(plan.update_slot).id,
+                                  std::move(sets));
         return Status::OK();
       }
       case Statement::Kind::kDelete: {
-        auto it = bindings.find(AsciiLower(stmt.update_var));
-        if (it == bindings.end() || it->second.is_relationship)
+        if (plan.vars[plan.update_slot].is_relationship)
           return InvalidArgument("delete target must be an entity "
                                  "range variable");
-        deletions.insert(it->second.entity);
+        deletions.insert(eval.bound(plan.update_slot).id);
         return Status::OK();
       }
       default:
         return Internal("unexpected statement kind in query runner");
     }
-  }));
+  });
+  // Counters are published once per statement, error or not, with the
+  // totals a per-row count would reach.
+  if (stats != nullptr) {
+    stats->rows_scanned.fetch_add(join.rows_scanned(),
+                                  std::memory_order_relaxed);
+    stats->conjuncts_evaluated.fetch_add(join.conjuncts_evaluated(),
+                                         std::memory_order_relaxed);
+    QuelCounters::Get().rows_scanned->Inc(join.rows_scanned());
+    QuelCounters::Get().conjuncts->Inc(join.conjuncts_evaluated());
+  }
+  MDM_RETURN_IF_ERROR(run);
 
   if (actuals_out != nullptr) {
     // Depth k >= 1 is entered once per binding enumerated by loop k
@@ -894,10 +944,9 @@ Result<ResultSet> RunQueryImpl(
     rs.rows = std::move(deduped);
   }
   if (stmt.kind == Statement::Kind::kRetrieve && has_by) {
-    for (const std::string& key : group_order) {
-      auto& [by_values, state] = groups.at(key);
-      std::vector<Value> row = by_values;
-      row.push_back(state.Finish(stmt.targets[0].agg));
+    for (Group* g : group_order) {
+      std::vector<Value> row = std::move(g->by_values);
+      row.push_back(g->state.Finish(stmt.targets[0].agg));
       rs.rows.push_back(std::move(row));
     }
   } else if (stmt.kind == Statement::Kind::kRetrieve && has_agg) {
@@ -929,8 +978,9 @@ Result<ResultSet> RunQueryImpl(
         });
   }
   for (const auto& [id, sets] : replacements) {
-    for (const auto& [attr, v] : sets)
-      MDM_RETURN_IF_ERROR(db->SetAttribute(id, attr, v));
+    for (size_t i = 0; i < sets.size(); ++i)
+      MDM_RETURN_IF_ERROR(
+          db->SetAttribute(id, stmt.assignments[i].first, sets[i]));
   }
   for (EntityId id : deletions) MDM_RETURN_IF_ERROR(db->DeleteEntity(id));
   if (stmt.kind == Statement::Kind::kReplace)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
 
 #include "common/strings.h"
 
@@ -9,6 +10,10 @@ namespace mdm::quel {
 
 using er::Database;
 
+namespace {
+
+/// Names of the range variables appearing in an expression /
+/// qualification, lowercased.
 void CollectExprVars(const Expr& e, std::set<std::string>* out) {
   if (e.kind != Expr::Kind::kLiteral) out->insert(AsciiLower(e.var));
 }
@@ -34,8 +39,6 @@ void CollectQualVars(const Qual& q, std::set<std::string>* out) {
       break;
   }
 }
-
-namespace {
 
 /// Splits a qualification into top-level AND conjuncts.
 void SplitConjuncts(const Qual* q, std::vector<const Qual*>* out) {
@@ -69,89 +72,168 @@ const char* OrderOpText(OrderOp op) {
   return "?";
 }
 
-/// Binds every kOrder node in `q` (at any nesting depth) to a resolved
-/// handle. `types` maps lowercased variable name -> (type, is_rel).
-Status BindOrderHandles(Database* db,
-                        const std::map<std::string,
-                                       std::pair<std::string, bool>>& types,
-                        const Qual& q, Plan* plan) {
-  switch (q.kind) {
-    case Qual::Kind::kCompare:
-    case Qual::Kind::kIs:
-      return Status::OK();
-    case Qual::Kind::kAnd:
-    case Qual::Kind::kOr:
-      MDM_RETURN_IF_ERROR(BindOrderHandles(db, types, *q.a, plan));
-      return BindOrderHandles(db, types, *q.b, plan);
-    case Qual::Kind::kNot:
-      return BindOrderHandles(db, types, *q.a, plan);
-    case Qual::Kind::kOrder:
-      break;
+/// The slot of the planned variable named `var` (any case).
+Result<uint32_t> SlotOf(const Plan& plan, const std::string& var) {
+  const std::string name = AsciiLower(var);
+  for (size_t i = 0; i < plan.vars.size(); ++i)
+    if (plan.vars[i].name == name) return static_cast<uint32_t>(i);
+  return NotFound("unbound range variable " + var);
+}
+
+/// Resolves `e`'s variable to its slot and its attribute or role name
+/// to a record index. An unknown attribute or role is a plan-time
+/// NotFound with the text the per-row lookup used to raise.
+Result<CompiledExpr> CompileExpr(const Database* db, Plan* plan,
+                                 const Expr& e) {
+  CompiledExpr out;
+  out.src = &e;
+  if (e.kind == Expr::Kind::kLiteral) return out;
+  MDM_ASSIGN_OR_RETURN(out.slot, SlotOf(*plan, e.var));
+  PlannedVar& var = plan->vars[out.slot];
+  if (e.kind == Expr::Kind::kVarRef) {
+    out.kind = var.is_relationship ? CompiledExpr::Kind::kRelValue
+                                   : CompiledExpr::Kind::kEntity;
+    return out;
   }
-  const auto& t1 = types.at(AsciiLower(q.order_var1));
-  const auto& t2 = types.at(AsciiLower(q.order_var2));
-  if (t1.second || t2.second)
+  if (!var.is_relationship) {
+    const er::EntityTypeDef& def =
+        db->schema().entity_types()[var.type_index];
+    std::optional<size_t> attr = def.AttributeIndex(e.attr);
+    if (!attr.has_value())
+      return NotFound(StrFormat("entity type %s has no attribute %s",
+                                def.name.c_str(), e.attr.c_str()));
+    out.kind = CompiledExpr::Kind::kAttr;
+    out.index = static_cast<uint32_t>(*attr);
+    var.reads_record = true;
+    return out;
+  }
+  // Relationship variable: a role yields the bound entity, otherwise a
+  // relationship attribute.
+  const er::RelationshipDef& def =
+      db->schema().relationships()[var.type_index];
+  if (std::optional<size_t> role = def.RoleIndex(e.attr)) {
+    out.kind = CompiledExpr::Kind::kRole;
+    out.index = static_cast<uint32_t>(*role);
+    return out;
+  }
+  if (std::optional<size_t> attr = def.AttributeIndex(e.attr)) {
+    out.kind = CompiledExpr::Kind::kRelAttr;
+    out.index = static_cast<uint32_t>(*attr);
+    return out;
+  }
+  return NotFound(StrFormat("relationship %s has no role or attribute %s",
+                            def.name.c_str(), e.attr.c_str()));
+}
+
+/// The ordering a kOrder node relates its operands in: the named one,
+/// or, when `in ordering` is omitted, the one ordering that applies to
+/// the operands' declared types — decidable at plan time, so no row
+/// ever resolves an ordering.
+Result<er::OrderingHandle> ResolveOrder(const Database* db, const Qual& q,
+                                        const PlannedVar& v1,
+                                        const PlannedVar& v2) {
+  if (v1.is_relationship || v2.is_relationship)
     return TypeError("ordering operators apply to entities");
-  if (!q.ordering.empty()) {
-    MDM_ASSIGN_OR_RETURN(er::OrderingHandle h,
-                         db->ResolveOrderingHandle(q.ordering));
-    plan->order_handles[&q] = h;
-    return Status::OK();
-  }
-  // `in ordering` omitted: exactly one ordering must apply to the static
-  // operand types. The types come from the range declarations, so this
-  // is decidable at plan time — no per-row TypeOf calls.
+  if (!q.ordering.empty()) return db->ResolveOrderingHandle(q.ordering);
   std::vector<er::OrderingHandle> candidates;
   const std::vector<er::OrderingDef>& defs = db->schema().orderings();
   for (size_t i = 0; i < defs.size(); ++i) {
     const er::OrderingDef& o = defs[i];
     bool match = q.order_op == OrderOp::kUnder
-                     ? o.HasChildType(t1.first) &&
-                           EqualsIgnoreCase(o.parent_type, t2.first)
-                     : o.HasChildType(t1.first) && o.HasChildType(t2.first);
+                     ? o.HasChildType(v1.type) &&
+                           EqualsIgnoreCase(o.parent_type, v2.type)
+                     : o.HasChildType(v1.type) && o.HasChildType(v2.type);
     if (match) candidates.push_back(er::OrderingHandle::FromIndex(i));
   }
   if (candidates.empty())
     return NotFound(StrFormat("no ordering relates %s and %s",
-                              t1.first.c_str(), t2.first.c_str()));
+                              v1.type.c_str(), v2.type.c_str()));
   if (candidates.size() > 1)
     return InvalidArgument(
         StrFormat("ambiguous ordering between %s and %s; use 'in <name>'",
-                  t1.first.c_str(), t2.first.c_str()));
-  plan->order_handles[&q] = candidates[0];
-  return Status::OK();
+                  v1.type.c_str(), v2.type.c_str()));
+  return candidates[0];
 }
 
-/// Declared rel::ValueType of an expression over the planned range
-/// variables, or nullopt when it cannot be typed statically
-/// (relationship variables, unknown attributes). Used to gate index
-/// probes: a probe may only replace a scan when the key side is
-/// statically comparable with the indexed attribute, so type errors
-/// the scan path would raise are never masked by an empty probe.
-std::optional<rel::ValueType> StaticExprType(
-    const Database* db,
-    const std::map<std::string, std::pair<std::string, bool>>& types,
-    const Expr& e) {
-  switch (e.kind) {
-    case Expr::Kind::kLiteral:
-      return e.literal.type();
-    case Expr::Kind::kVarRef: {
-      auto it = types.find(AsciiLower(e.var));
-      if (it == types.end() || it->second.second) return std::nullopt;
-      return rel::ValueType::kRef;
+/// The loop depth at which every variable of compiled node `node` is
+/// bound: one past its deepest slot, 0 for a constant.
+size_t BoundDepth(const Plan& plan, uint32_t node) {
+  const CompiledQual& c = plan.quals[node];
+  auto expr_depth = [](const CompiledExpr& e) -> size_t {
+    return e.kind == CompiledExpr::Kind::kLiteral ? 0 : e.slot + 1;
+  };
+  switch (c.kind) {
+    case Qual::Kind::kCompare:
+    case Qual::Kind::kIs:
+      return std::max(expr_depth(c.lhs), expr_depth(c.rhs));
+    case Qual::Kind::kOrder:
+      return std::max(c.slot1, c.slot2) + 1;
+    case Qual::Kind::kAnd:
+    case Qual::Kind::kOr:
+      return std::max(BoundDepth(plan, c.a), BoundDepth(plan, c.b));
+    case Qual::Kind::kNot:
+      return BoundDepth(plan, c.a);
+  }
+  return 0;
+}
+
+/// Compiles `q` (and its subtree) into plan->quals; returns its index.
+Result<uint32_t> CompileQual(const Database* db, const Qual& q, Plan* plan) {
+  CompiledQual node;
+  node.kind = q.kind;
+  node.cmp = q.cmp;
+  node.order_op = q.order_op;
+  switch (q.kind) {
+    case Qual::Kind::kCompare:
+    case Qual::Kind::kIs: {
+      MDM_ASSIGN_OR_RETURN(node.lhs, CompileExpr(db, plan, q.lhs));
+      MDM_ASSIGN_OR_RETURN(node.rhs, CompileExpr(db, plan, q.rhs));
+      break;
     }
-    case Expr::Kind::kAttrRef: {
-      auto it = types.find(AsciiLower(e.var));
-      if (it == types.end() || it->second.second) return std::nullopt;
-      const er::EntityTypeDef* tdef =
-          db->schema().FindEntityType(it->second.first);
-      if (tdef == nullptr) return std::nullopt;
-      std::optional<size_t> slot = tdef->AttributeIndex(e.attr);
-      if (!slot) return std::nullopt;
-      return tdef->attributes[*slot].type;
+    case Qual::Kind::kOrder: {
+      MDM_ASSIGN_OR_RETURN(node.slot1, SlotOf(*plan, q.order_var1));
+      MDM_ASSIGN_OR_RETURN(node.slot2, SlotOf(*plan, q.order_var2));
+      MDM_ASSIGN_OR_RETURN(node.ordering,
+                           ResolveOrder(db, q, plan->vars[node.slot1],
+                                        plan->vars[node.slot2]));
+      break;
+    }
+    case Qual::Kind::kAnd:
+    case Qual::Kind::kOr: {
+      MDM_ASSIGN_OR_RETURN(node.a, CompileQual(db, *q.a, plan));
+      MDM_ASSIGN_OR_RETURN(node.b, CompileQual(db, *q.b, plan));
+      break;
+    }
+    case Qual::Kind::kNot: {
+      MDM_ASSIGN_OR_RETURN(node.a, CompileQual(db, *q.a, plan));
+      break;
     }
   }
-  return std::nullopt;
+  plan->quals.push_back(node);
+  return static_cast<uint32_t>(plan->quals.size() - 1);
+}
+
+/// Declared rel::ValueType of a compiled expression, or nullopt when it
+/// cannot be typed statically (relationship variables). Used to gate
+/// index probes: a probe may only replace a scan when the key side is
+/// statically comparable with the indexed attribute, so type errors the
+/// scan path would raise are never masked by an empty probe.
+std::optional<rel::ValueType> StaticExprType(const Database* db,
+                                             const Plan& plan,
+                                             const CompiledExpr& e) {
+  switch (e.kind) {
+    case CompiledExpr::Kind::kLiteral:
+      return e.src->literal.type();
+    case CompiledExpr::Kind::kEntity:
+      return rel::ValueType::kRef;
+    case CompiledExpr::Kind::kAttr:
+      return db->schema()
+          .entity_types()[plan.vars[e.slot].type_index]
+          .attributes[e.index]
+          .type;
+    default:
+      return std::nullopt;
+  }
 }
 
 /// Whether an equality between two statically-typed operands can be
@@ -166,91 +248,89 @@ bool IndexKeyTypesComparable(rel::ValueType a, rel::ValueType b) {
   return numeric(a) && numeric(b);
 }
 
-/// Picks an index probe for entity loop `var`, if any conjunct has the
-/// shape `var.attr = <key>` / `<key> = var.attr` (or `is` over refs)
-/// with every key-side variable bound by an outer loop and a live index
-/// on (var.type, attr). First eligible conjunct wins; the conjunct is
-/// NOT removed from the filter list — hashed key encodings may collide
-/// and a runtime null key falls back to the scan, so re-checking keeps
-/// probe plans row-for-row equivalent to scan plans. A query naming the
-/// wrong key attribute (footnote 3) simply finds no index here and
-/// keeps the scan.
-void SelectIndexProbe(
-    Database* db,
-    const std::map<std::string, std::pair<std::string, bool>>& types,
-    const std::vector<const Qual*>& conjuncts,
-    const std::set<std::string>& bound, PlannedVar* var) {
-  for (const Qual* c : conjuncts) {
+/// Whether every variable `e` reads is bound before loop `slot` runs.
+bool BoundBefore(const CompiledExpr& e, uint32_t slot) {
+  return e.kind == CompiledExpr::Kind::kLiteral || e.slot < slot;
+}
+
+/// Picks an index probe for the entity loop in `slot`, if any conjunct
+/// has the shape `var.attr = <key>` / `<key> = var.attr` (or `is` over
+/// refs) with every key-side variable bound by an outer loop and a live
+/// index on (var.type, attr). First eligible conjunct wins; the
+/// conjunct is NOT removed from the filter list — hashed key encodings
+/// may collide and a runtime null key falls back to the scan, so
+/// re-checking keeps probe plans row-for-row equivalent to scan plans.
+/// A query naming the wrong key attribute (footnote 3) simply finds no
+/// index here and keeps the scan.
+void SelectIndexProbe(Database* db, const std::vector<uint32_t>& roots,
+                      uint32_t slot, Plan* plan) {
+  PlannedVar* var = &plan->vars[slot];
+  const er::EntityTypeDef& def = db->schema().entity_types()[var->type_index];
+  for (uint32_t root : roots) {
+    const CompiledQual& c = plan->quals[root];
     bool eq_shape =
-        (c->kind == Qual::Kind::kCompare && c->cmp == CompareOp::kEq) ||
-        c->kind == Qual::Kind::kIs;
+        (c.kind == Qual::Kind::kCompare && c.cmp == CompareOp::kEq) ||
+        c.kind == Qual::Kind::kIs;
     if (!eq_shape) continue;
     for (int flip = 0; flip < 2; ++flip) {
-      const Expr& attr_side = flip == 0 ? c->lhs : c->rhs;
-      const Expr& key_side = flip == 0 ? c->rhs : c->lhs;
-      if (attr_side.kind != Expr::Kind::kAttrRef) continue;
-      if (AsciiLower(attr_side.var) != var->name) continue;
-      std::set<std::string> key_vars;
-      CollectExprVars(key_side, &key_vars);
-      bool all_bound = true;
-      for (const std::string& kv : key_vars)
-        if (bound.count(kv) == 0) all_bound = false;
-      if (!all_bound) continue;
-      const er::AttrIndex* ix = db->FindAttrIndex(var->type, attr_side.attr);
+      const CompiledExpr& attr_side = flip == 0 ? c.lhs : c.rhs;
+      const CompiledExpr& key_side = flip == 0 ? c.rhs : c.lhs;
+      if (attr_side.kind != CompiledExpr::Kind::kAttr) continue;
+      if (attr_side.slot != slot || !BoundBefore(key_side, slot)) continue;
+      const er::AttrIndex* ix =
+          db->FindAttrIndex(var->type, def.attributes[attr_side.index].name);
       if (ix == nullptr) continue;
-      std::optional<rel::ValueType> at = StaticExprType(db, types, attr_side);
-      std::optional<rel::ValueType> kt = StaticExprType(db, types, key_side);
+      std::optional<rel::ValueType> at =
+          StaticExprType(db, *plan, attr_side);
+      std::optional<rel::ValueType> kt = StaticExprType(db, *plan, key_side);
       if (!at || !kt || !IndexKeyTypesComparable(*at, *kt)) continue;
       // `is` compares entity references; guard against `is` over scalars
       // which the evaluator rejects at runtime.
-      if (c->kind == Qual::Kind::kIs && *at != rel::ValueType::kRef) continue;
+      if (c.kind == Qual::Kind::kIs && *at != rel::ValueType::kRef) continue;
       var->index = ix;
-      var->index_key = &key_side;
+      var->index_key = key_side;
       return;
     }
   }
 }
 
-/// Picks an ordering access path for entity loop `var` (PlannedVar):
-/// the first top-level ordering conjunct relating `var` to a distinct
-/// variable bound by an outer loop, in a direction the slice can
-/// enumerate — descendants for `var under w`, sibling prefix/suffix for
-/// `var before/after w` and their mirrors. `w under var` (an ancestor
-/// walk) does not drive. Returns the consumed conjunct, or nullptr.
-/// Relationship operands never get here: BindOrderHandles rejects them.
-const Qual* SelectOrderingSlice(const Database* db,
-                                const std::vector<const Qual*>& conjuncts,
-                                const std::set<std::string>& bound,
-                                const Plan& plan, PlannedVar* var) {
-  for (const Qual* c : conjuncts) {
-    if (c->kind != Qual::Kind::kOrder) continue;
-    const std::string v1 = AsciiLower(c->order_var1);
-    const std::string v2 = AsciiLower(c->order_var2);
-    if (v1 == v2) continue;
+/// Picks an ordering access path for the entity loop in `slot`: the
+/// first top-level ordering conjunct relating it to a distinct variable
+/// bound by an outer loop, in a direction the slice can enumerate —
+/// descendants for `var under w`, sibling prefix/suffix for `var
+/// before/after w` and their mirrors. `w under var` (an ancestor walk)
+/// does not drive. Returns the position of the consumed conjunct in
+/// `roots`, or SIZE_MAX. Relationship operands never get here:
+/// ResolveOrder rejects them.
+size_t SelectOrderingSlice(const std::vector<const Qual*>& conjuncts,
+                           const std::vector<uint32_t>& roots, uint32_t slot,
+                           Plan* plan) {
+  PlannedVar* var = &plan->vars[slot];
+  for (size_t i = 0; i < roots.size(); ++i) {
+    const CompiledQual& c = plan->quals[roots[i]];
+    if (c.kind != Qual::Kind::kOrder || c.slot1 == c.slot2) continue;
     er::OrderingSlice slice;
-    if (v1 == var->name && bound.count(v2) != 0) {
-      var->slice_anchor = v2;
-      slice = c->order_op == OrderOp::kUnder    ? er::OrderingSlice::kDescendants
-              : c->order_op == OrderOp::kBefore ? er::OrderingSlice::kBefore
-                                                : er::OrderingSlice::kAfter;
-    } else if (v2 == var->name && bound.count(v1) != 0 &&
-               c->order_op != OrderOp::kUnder) {
+    if (c.slot1 == slot && c.slot2 < slot) {
+      var->slice_anchor_slot = c.slot2;
+      slice = c.order_op == OrderOp::kUnder    ? er::OrderingSlice::kDescendants
+              : c.order_op == OrderOp::kBefore ? er::OrderingSlice::kBefore
+                                               : er::OrderingSlice::kAfter;
+    } else if (c.slot2 == slot && c.slot1 < slot &&
+               c.order_op != OrderOp::kUnder) {
       // `w before var` is `var after w`, and vice versa.
-      var->slice_anchor = v1;
-      slice = c->order_op == OrderOp::kBefore ? er::OrderingSlice::kAfter
-                                              : er::OrderingSlice::kBefore;
+      var->slice_anchor_slot = c.slot1;
+      slice = c.order_op == OrderOp::kBefore ? er::OrderingSlice::kAfter
+                                             : er::OrderingSlice::kBefore;
     } else {
       continue;
     }
-    const er::EntityTypeDef* tdef = db->schema().FindEntityType(var->type);
-    var->slice_qual = c;
-    var->slice_ordering = plan.order_handles.at(c);
+    var->slice_anchor = plan->vars[var->slice_anchor_slot].name;
+    var->slice_qual = conjuncts[i];
+    var->slice_ordering = c.ordering;
     var->slice = slice;
-    var->type_index =
-        static_cast<uint32_t>(tdef - db->schema().entity_types().data());
-    return c;
+    return i;
   }
-  return nullptr;
+  return SIZE_MAX;
 }
 
 const char* SliceOpText(er::OrderingSlice slice) {
@@ -262,10 +342,13 @@ const char* SliceOpText(er::OrderingSlice slice) {
   return "?";
 }
 
-/// Renders a qualification; with a database + plan, ordering operators
-/// carry their resolved ordering names (the explain output). Both may
-/// be null for a plain deparse.
-std::string RenderQual(const Database* db, const Plan* plan, const Qual& q) {
+/// Renders a qualification. With a database and a plan, `node` is q's
+/// compiled twin in plan->quals and ordering operators carry their
+/// resolved ordering names (the explain output); both may be null for a
+/// plain deparse.
+std::string RenderQual(const Database* db, const Plan* plan, uint32_t node,
+                       const Qual& q) {
+  const CompiledQual* c = plan == nullptr ? nullptr : &plan->quals[node];
   switch (q.kind) {
     case Qual::Kind::kCompare:
       return ExprToString(q.lhs) + " " + CompareOpText(q.cmp) + " " +
@@ -278,22 +361,21 @@ std::string RenderQual(const Database* db, const Plan* plan, const Qual& q) {
       out += OrderOpText(q.order_op);
       out += " ";
       out += AsciiLower(q.order_var2);
-      if (plan != nullptr && db != nullptr) {
-        auto it = plan->order_handles.find(&q);
-        if (it != plan->order_handles.end())
-          return out + " in " + db->ordering_def(it->second).name;
-      }
+      if (c != nullptr)
+        return out + " in " + db->ordering_def(c->ordering).name;
       if (!q.ordering.empty()) out += " in " + q.ordering;
       return out;
     }
     case Qual::Kind::kAnd:
-      return RenderQual(db, plan, *q.a) + " and " +
-             RenderQual(db, plan, *q.b);
+      return RenderQual(db, plan, c == nullptr ? 0 : c->a, *q.a) + " and " +
+             RenderQual(db, plan, c == nullptr ? 0 : c->b, *q.b);
     case Qual::Kind::kOr:
-      return "(" + RenderQual(db, plan, *q.a) + " or " +
-             RenderQual(db, plan, *q.b) + ")";
+      return "(" + RenderQual(db, plan, c == nullptr ? 0 : c->a, *q.a) +
+             " or " + RenderQual(db, plan, c == nullptr ? 0 : c->b, *q.b) +
+             ")";
     case Qual::Kind::kNot:
-      return "not (" + RenderQual(db, plan, *q.a) + ")";
+      return "not (" + RenderQual(db, plan, c == nullptr ? 0 : c->a, *q.a) +
+             ")";
   }
   return "?";
 }
@@ -323,7 +405,7 @@ std::string ExprToString(const Expr& e) {
 }
 
 std::string QualToString(const Qual& q) {
-  return RenderQual(nullptr, nullptr, q);
+  return RenderQual(nullptr, nullptr, 0, q);
 }
 
 const char* AccessPathName(const PlannedVar& var) {
@@ -363,8 +445,16 @@ Result<Plan> PlanQuery(Database* db,
     } else {
       return NotFound("undeclared range variable " + name);
     }
-    var.is_relationship =
-        db->schema().FindRelationship(var.type) != nullptr;
+    const er::ErSchema& schema = db->schema();
+    if (const er::RelationshipDef* rdef = schema.FindRelationship(var.type)) {
+      var.is_relationship = true;
+      var.type_index =
+          static_cast<uint32_t>(rdef - schema.relationships().data());
+    } else if (const er::EntityTypeDef* tdef =
+                   schema.FindEntityType(var.type)) {
+      var.type_index =
+          static_cast<uint32_t>(tdef - schema.entity_types().data());
+    }
     MDM_ASSIGN_OR_RETURN(var.cardinality,
                          var.is_relationship
                              ? db->CountRelationships(var.type)
@@ -377,13 +467,12 @@ Result<Plan> PlanQuery(Database* db,
 
   // Selectivity: the arity of the narrowest conjunct mentioning the
   // variable (a `n.name = 3` restriction makes n maximally selective).
-  for (PlannedVar& var : plan.vars) {
-    for (const Qual* c : conjuncts) {
-      std::set<std::string> cv;
-      CollectQualVars(*c, &cv);
+  for (const Qual* c : conjuncts) {
+    std::set<std::string> cv;
+    CollectQualVars(*c, &cv);
+    for (PlannedVar& var : plan.vars)
       if (cv.count(var.name) != 0)
         var.selectivity = std::min(var.selectivity, cv.size());
-    }
   }
 
   // Loop order: most-restricted variables first, then smaller estimated
@@ -399,13 +488,15 @@ Result<Plan> PlanQuery(Database* db,
                      });
   }
 
-  std::map<std::string, std::pair<std::string, bool>> types;
-  for (const PlannedVar& var : plan.vars)
-    types[var.name] = {var.type, var.is_relationship};
-
-  // Bind every ordering operator to a resolved handle, once.
-  if (stmt.qual != nullptr)
-    MDM_RETURN_IF_ERROR(BindOrderHandles(db, types, *stmt.qual, &plan));
+  // Compile every top-level conjunct against the final slots. This
+  // resolves each ordering operator (inside or/not too) to a handle and
+  // each attribute or role name to a record index, once.
+  std::vector<uint32_t> roots;
+  roots.reserve(conjuncts.size());
+  for (const Qual* c : conjuncts) {
+    MDM_ASSIGN_OR_RETURN(uint32_t root, CompileQual(db, *c, &plan));
+    roots.push_back(root);
+  }
 
   // Access path selection, in loop order: each entity loop may be
   // driven by an ordering slice under an outer binding or, failing
@@ -413,39 +504,55 @@ Result<Plan> PlanQuery(Database* db,
   // loops (index selection for literal keys, index-nested-loop join for
   // outer-variable keys). Runs after the sort so "bound" is final; the
   // naive plan never uses either — it is the ablation baseline.
-  std::set<const Qual*> consumed;
+  std::vector<bool> consumed(conjuncts.size(), false);
   if (pushdown) {
-    std::set<std::string> bound;
-    for (PlannedVar& var : plan.vars) {
-      if (!var.is_relationship) {
-        const Qual* slice_qual =
-            SelectOrderingSlice(db, conjuncts, bound, plan, &var);
-        if (slice_qual != nullptr)
-          consumed.insert(slice_qual);
-        else
-          SelectIndexProbe(db, types, conjuncts, bound, &var);
-      }
-      bound.insert(var.name);
+    for (uint32_t slot = 0; slot < plan.vars.size(); ++slot) {
+      if (plan.vars[slot].is_relationship) continue;
+      size_t sliced = SelectOrderingSlice(conjuncts, roots, slot, &plan);
+      if (sliced != SIZE_MAX)
+        consumed[sliced] = true;
+      else
+        SelectIndexProbe(db, roots, slot, &plan);
     }
   }
 
   // Push each conjunct to the outermost depth at which its variables
   // are all bound (depth 0 = constant). Without pushdown everything
   // evaluates at the innermost level.
-  for (const Qual* c : conjuncts) {
-    if (consumed.count(c) != 0) continue;
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    if (consumed[i]) continue;
     PlannedConjunct pc;
-    pc.qual = c;
+    pc.qual = conjuncts[i];
+    pc.root = roots[i];
     if (pushdown) {
-      std::set<std::string> cv;
-      CollectQualVars(*c, &cv);
-      for (size_t v = 0; v < plan.vars.size(); ++v) {
-        if (cv.count(plan.vars[v].name) != 0) pc.depth = v + 1;
-      }
+      pc.depth = BoundDepth(plan, pc.root);
     } else {
       pc.depth = plan.vars.size();
     }
     plan.conjuncts.push_back(pc);
+  }
+  std::stable_sort(plan.conjuncts.begin(), plan.conjuncts.end(),
+                   [](const PlannedConjunct& a, const PlannedConjunct& b) {
+                     return a.depth < b.depth;
+                   });
+
+  // The expressions the executor evaluates per emitted row.
+  for (const Target& t : stmt.targets) {
+    MDM_ASSIGN_OR_RETURN(CompiledExpr e, CompileExpr(db, &plan, t.expr));
+    plan.targets.push_back(e);
+  }
+  if (!stmt.targets.empty()) {
+    for (const Expr& by_expr : stmt.targets[0].by) {
+      MDM_ASSIGN_OR_RETURN(CompiledExpr e, CompileExpr(db, &plan, by_expr));
+      plan.by.push_back(e);
+    }
+  }
+  for (const auto& [attr, expr] : stmt.assignments) {
+    MDM_ASSIGN_OR_RETURN(CompiledExpr e, CompileExpr(db, &plan, expr));
+    plan.assignments.push_back(e);
+  }
+  if (!stmt.update_var.empty()) {
+    MDM_ASSIGN_OR_RETURN(plan.update_slot, SlotOf(plan, stmt.update_var));
   }
   return plan;
 }
@@ -471,7 +578,8 @@ std::string RenderPlan(const Database& db, const Statement& stmt,
   out += StrFormat("  pushdown: %s\n", plan.pushdown ? "on" : "off");
   for (const PlannedConjunct& c : plan.conjuncts) {
     if (c.depth == 0)
-      out += "  filter (const): " + RenderQual(&db, &plan, *c.qual) + "\n";
+      out += "  filter (const): " + RenderQual(&db, &plan, c.root, *c.qual) +
+             "\n";
   }
   size_t levels = plan.vars.size();
   // Time at depth >= k minus the depth-k filters, which explain prints
@@ -506,7 +614,7 @@ std::string RenderPlan(const Database& db, const Statement& stmt,
     out += "\n";
     for (const PlannedConjunct& c : plan.conjuncts) {
       if (c.depth == v + 1)
-        out += "    filter: " + RenderQual(&db, &plan, *c.qual) + "\n";
+        out += "    filter: " + RenderQual(&db, &plan, c.root, *c.qual) + "\n";
     }
   }
   out += "  emit:";

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -12,6 +11,42 @@
 #include "quel/ast.h"
 
 namespace mdm::quel {
+
+/// A scalar expression compiled against a plan: its range variable is
+/// a slot (the index of that variable in Plan::vars, bound by loop
+/// slot + 1) and its attribute or role name is an index into the bound
+/// record, both resolved once at plan time. Evaluation reads
+/// `attrs[index]` of the record in the slot and looks up no name.
+struct CompiledExpr {
+  enum class Kind : uint8_t {
+    kLiteral,   // src->literal
+    kEntity,    // the entity bound to `slot`, as a ref
+    kAttr,      // attrs[index] of the entity bound to `slot`
+    kRole,      // role_refs[index] of the relationship bound to `slot`
+    kRelAttr,   // attrs[index] of the relationship bound to `slot`
+    kRelValue,  // a relationship variable used as a value: a TypeError
+                // raised per row, so an empty extent still succeeds
+  };
+  Kind kind = Kind::kLiteral;
+  uint32_t slot = 0;
+  uint32_t index = 0;
+  const Expr* src = nullptr;  // the AST node (literal, error text)
+};
+
+/// One qualification node, compiled. The tree mirrors its Qual node for
+/// node; children are indexes into Plan::quals.
+struct CompiledQual {
+  Qual::Kind kind = Qual::Kind::kCompare;
+  CompareOp cmp = CompareOp::kEq;
+  OrderOp order_op = OrderOp::kBefore;
+  CompiledExpr lhs;  // kCompare / kIs
+  CompiledExpr rhs;
+  uint32_t slot1 = 0;  // kOrder: `slot1 <op> slot2 in ordering`
+  uint32_t slot2 = 0;
+  er::OrderingHandle ordering;  // kOrder, resolved once
+  uint32_t a = 0;  // kAnd / kOr / kNot children
+  uint32_t b = 0;
+};
 
 /// One range variable of a planned statement, in chosen loop order.
 struct PlannedVar {
@@ -31,10 +66,10 @@ struct PlannedVar {
   // index selection when the key is a literal, an index-nested-loop
   // join when it references outer variables. The conjunct itself stays
   // in the filter list (hash keys may collide), and a runtime null key
-  // falls back to the scan. Both pointers borrow from the statement AST
-  // / database and are valid for the statement's execution.
+  // falls back to the scan. `index` borrows from the database and is
+  // valid for the statement's execution.
   const er::AttrIndex* index = nullptr;
-  const Expr* index_key = nullptr;
+  CompiledExpr index_key;
   // Ordering access path (nullptr slice_qual = none). When a top-level
   // conjunct `var under w in O`, `var before w` / `var after w`, or the
   // mirrored `w after var` / `w before var`, has its other operand w
@@ -50,8 +85,15 @@ struct PlannedVar {
   const Qual* slice_qual = nullptr;
   er::OrderingHandle slice_ordering;
   er::OrderingSlice slice = er::OrderingSlice::kDescendants;
-  std::string slice_anchor;  // w, lowercased
-  uint32_t type_index = 0;   // `type` in ErSchema::entity_types()
+  std::string slice_anchor;     // w, lowercased
+  uint32_t slice_anchor_slot = 0;  // w's slot
+  // `type` in ErSchema::entity_types(), or in relationships() for a
+  // relationship variable.
+  uint32_t type_index = 0;
+  // Whether any compiled expression reads an attribute of this entity
+  // loop's record. When none does (count(n), `is`, ordering operators
+  // use only the id), the loop binds ids and never fetches a record.
+  bool reads_record = false;
 };
 
 /// How a planned loop enumerates its candidates: "ordering", "index"
@@ -60,28 +102,41 @@ const char* AccessPathName(const PlannedVar& var);
 
 /// One top-level AND conjunct: evaluated as soon as the first `depth`
 /// loop variables are bound (depth 0 = constant, tested before any
-/// loop). Conjuncts consumed by an ordering access path are not listed.
+/// loop). `root` is its compiled tree in Plan::quals. Conjuncts consumed
+/// by an ordering access path are not listed.
 struct PlannedConjunct {
   const Qual* qual = nullptr;
   size_t depth = 0;
+  uint32_t root = 0;
 };
 
 /// A compiled retrieve/replace/delete: loop order, pushed-down
-/// conjuncts, and every ordering operator bound to a resolved
-/// er::OrderingHandle once — the executor never resolves an ordering
-/// name per row.
+/// conjuncts, and every expression the statement evaluates resolved to
+/// frame slots and record indexes, with every ordering operator bound
+/// to an er::OrderingHandle — the executor looks up no variable,
+/// attribute or ordering name per row. Compiled nodes point into the
+/// statement's AST (literals, names for error text), which must outlive
+/// the plan; the AST itself is never modified, so a cached statement
+/// can be planned by many threads at once.
 struct Plan {
-  std::vector<PlannedVar> vars;
+  std::vector<PlannedVar> vars;  // slot k = vars[k], bound by loop k + 1
+  // Sorted by depth (stably, so filters of one depth keep query order).
   std::vector<PlannedConjunct> conjuncts;
-  /// Every Qual::kOrder node in the statement, at any nesting depth
-  /// (including inside OR/NOT), mapped to its resolved ordering.
-  std::map<const Qual*, er::OrderingHandle> order_handles;
+  // Every compiled qualification node: the conjunct roots, their
+  // children, and the ordering conjuncts consumed by slices.
+  std::vector<CompiledQual> quals;
+  std::vector<CompiledExpr> targets;      // Statement::targets[i].expr
+  std::vector<CompiledExpr> by;           // Statement::targets[0].by
+  std::vector<CompiledExpr> assignments;  // Statement::assignments
+  uint32_t update_slot = 0;               // replace/delete target
   bool pushdown = true;
 };
 
 /// Plans a statement against the session's range declarations. Unknown
-/// range variables and unresolvable or ambiguous orderings are reported
-/// here, before any loop runs.
+/// range variables, attributes and roles, and unresolvable or ambiguous
+/// orderings are reported here, before any loop runs. Type errors
+/// (comparing a string with an int, a relationship used as a value)
+/// depend on the values and are raised per row by the executor.
 Result<Plan> PlanQuery(er::Database* db,
                        const std::map<std::string, std::string>& ranges,
                        const Statement& stmt, bool pushdown);
@@ -131,11 +186,6 @@ std::string ExplainAnalyzePlan(const er::Database& db, const Statement& stmt,
 /// Deparse helpers (explain output, error messages, tests).
 std::string ExprToString(const Expr& e);
 std::string QualToString(const Qual& q);
-
-/// Names of the range variables appearing in an expression /
-/// qualification, lowercased (shared with the executor).
-void CollectExprVars(const Expr& e, std::set<std::string>* out);
-void CollectQualVars(const Qual& q, std::set<std::string>* out);
 
 }  // namespace mdm::quel
 

@@ -177,9 +177,11 @@ struct StatementActuals {
 /// variables are ordered by selectivity and estimated cardinality,
 /// top-level AND conjuncts are pushed down to the outermost loop level
 /// at which their variables are bound, every ordering operator is
-/// bound to a resolved er::OrderingHandle once per statement, and a
-/// loop whose `under`/`before`/`after` conjunct has its other operand
-/// bound outside enumerates that ordering slice instead of its extent.
+/// bound to a resolved er::OrderingHandle once per statement, every
+/// `x.attr` is compiled to a (frame slot, attribute index) pair read
+/// straight from the bound record, and a loop whose
+/// `under`/`before`/`after` conjunct has its other operand bound
+/// outside enumerates that ordering slice instead of its extent.
 /// Parsed scripts are cached by text, so repeated Execute calls skip the
 /// lexer/parser entirely. `explain retrieve` renders the plan without
 /// running it.

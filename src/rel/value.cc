@@ -1,5 +1,7 @@
 #include "rel/value.h"
 
+#include <cmath>
+
 #include "common/strings.h"
 
 namespace mdm::rel {
@@ -53,26 +55,49 @@ std::string Value::ToString() const {
   return "?";
 }
 
-Result<int> Value::Compare(const Value& other) const {
+namespace {
+
+/// Exact numeric order of an int and a double: -1, 0 or 1 as `i` is
+/// below, equal to or above `d` (no rounding of `i` through a double).
+int CompareIntFloat(int64_t i, double d) {
+  // NaN is unordered; like a float/float comparison, it compares equal.
+  if (std::isnan(d)) return 0;
+  // Past the int64 range every double is beyond every int. Inside it,
+  // trunc(d) converts exactly, so the integral parts compare as ints and
+  // the fraction breaks a tie. An integral d thus equals exactly the int
+  // it converts to — the one AttrKeyFor maps it onto.
+  if (d >= 9223372036854775808.0) return -1;
+  if (d < -9223372036854775808.0) return 1;
+  const double t = std::trunc(d);
+  const int64_t ti = static_cast<int64_t>(t);
+  if (i != ti) return i < ti ? -1 : 1;
+  return d > t ? -1 : (d < t ? 1 : 0);
+}
+
+}  // namespace
+
+std::optional<int> Value::TryCompare(const Value& other) const {
   if (is_null() || other.is_null()) {
     if (is_null() && other.is_null()) return 0;
     return is_null() ? -1 : 1;
   }
-  // Int/float compare numerically across the two types.
-  if ((type() == ValueType::kInt || type() == ValueType::kFloat) &&
-      (other.type() == ValueType::kInt || other.type() == ValueType::kFloat)) {
-    double a = type() == ValueType::kInt ? static_cast<double>(AsInt())
-                                         : AsFloat();
-    double b = other.type() == ValueType::kInt
-                   ? static_cast<double>(other.AsInt())
-                   : other.AsFloat();
-    return a < b ? -1 : (a > b ? 1 : 0);
+  // Int/float compare numerically across the two types, and exactly:
+  // two ints never round through a double.
+  if (type() == ValueType::kInt && other.type() == ValueType::kInt) {
+    if (AsInt() < other.AsInt()) return -1;
+    return AsInt() > other.AsInt() ? 1 : 0;
   }
-  if (type() != other.type())
-    return TypeError(StrFormat("cannot compare %s with %s",
-                               ValueTypeName(type()),
-                               ValueTypeName(other.type())));
+  if (type() == ValueType::kInt && other.type() == ValueType::kFloat)
+    return CompareIntFloat(AsInt(), other.AsFloat());
+  if (type() == ValueType::kFloat && other.type() == ValueType::kInt)
+    return -CompareIntFloat(other.AsInt(), AsFloat());
+  if (type() != other.type()) return std::nullopt;
   switch (type()) {
+    case ValueType::kFloat: {
+      double a = AsFloat();
+      double b = other.AsFloat();
+      return a < b ? -1 : (a > b ? 1 : 0);
+    }
     case ValueType::kBool:
       return static_cast<int>(AsBool()) - static_cast<int>(other.AsBool());
     case ValueType::kString: {
@@ -90,8 +115,16 @@ Result<int> Value::Compare(const Value& other) const {
       return 0;
     }
     default:
-      return Internal("unhandled comparison type");
+      return std::nullopt;
   }
+}
+
+Result<int> Value::Compare(const Value& other) const {
+  std::optional<int> c = TryCompare(other);
+  if (c.has_value()) return *c;
+  return TypeError(StrFormat("cannot compare %s with %s",
+                             ValueTypeName(type()),
+                             ValueTypeName(other.type())));
 }
 
 bool Value::Equals(const Value& other) const {

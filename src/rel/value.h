@@ -2,6 +2,7 @@
 #define MDM_REL_VALUE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <variant>
 
@@ -60,8 +61,12 @@ class Value {
   std::string ToString() const;
 
   /// Total order within a type; comparing different non-null types is a
-  /// TypeError. Null compares equal to null and less than everything.
+  /// TypeError, except int with float, which compare exactly by numeric
+  /// value. Null compares equal to null and less than everything.
   Result<int> Compare(const Value& other) const;
+  /// Compare without building a Status: nullopt where Compare would
+  /// return a TypeError (the executor's per-row form).
+  std::optional<int> TryCompare(const Value& other) const;
 
   /// True iff same type and equal (null == null). Never errors.
   bool Equals(const Value& other) const;

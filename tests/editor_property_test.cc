@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "cmn/schema.h"
 #include "cmn/score_builder.h"
@@ -18,8 +19,14 @@ namespace {
 
 struct EditorParam {
   uint64_t seed;
-  int edits;
+  int32_t edits;
+  // Explicit tail field: with no padding, every byte gtest prints into
+  // the case name is defined, so the name is the same in every build.
+  int32_t reserved = 0;
 };
+static_assert(sizeof(EditorParam) == 16 &&
+                  std::has_unique_object_representations_v<EditorParam>,
+              "EditorParam must have no padding");
 
 class EditorPropertyTest : public testing::TestWithParam<EditorParam> {};
 

@@ -315,6 +315,49 @@ TEST_F(IndexPlanTest, RuntimeNullKeyFallsBackToScan) {
   EXPECT_EQ(with_null->At(0, 0).AsInt(), 1);
 }
 
+TEST(IndexScanAgreementTest, IntKeysBeyondDoublePrecision) {
+  // 2^53 and 2^53 + 1 are one double apart from nothing: a comparison
+  // that rounded ints through a double would call them equal, and the
+  // scan would then admit both rows where the index probe (exact int
+  // keys) finds one.
+  er::Database db;
+  ASSERT_TRUE(ddl::ExecuteDdl("define entity E (k = integer)", &db).ok());
+  constexpr int64_t k53 = int64_t{1} << 53;
+  for (int64_t k : {k53, k53 + 1}) {
+    auto e = db.CreateEntity("E");
+    ASSERT_TRUE(e.ok());
+    ASSERT_TRUE(db.SetAttribute(*e, "k", Value::Int(k)).ok());
+  }
+  Connection conn = Connection::Local(&db);
+  const std::vector<std::pair<std::string, int64_t>> queries = {
+      {"retrieve (c = count(E)) where E.k = 9007199254740993", 1},
+      {"retrieve (c = count(E)) where E.k = 9007199254740992", 1},
+      // An integral float literal keys onto the int it equals.
+      {"retrieve (c = count(E)) where E.k = 9007199254740992.0", 1},
+      {"retrieve (c = count(E)) where E.k != 9007199254740993", 1},
+  };
+  auto counts = [&] {
+    std::vector<int64_t> out;
+    for (const auto& [q, want] : queries) {
+      auto rs = conn.Execute(q);
+      EXPECT_TRUE(rs.ok()) << q << ": " << rs.status().ToString();
+      out.push_back(rs.ok() ? rs->At(0, 0).AsInt() : -1);
+    }
+    return out;
+  };
+  const std::vector<int64_t> scanned = counts();
+  ASSERT_TRUE(ddl::ExecuteDdl("define index ek on E(k)", &db).ok());
+  conn.local_session()->ClearParseCache();
+  auto plan = conn.Execute("explain " + queries[0].first);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->explain.find("via index ek(k)"), std::string::npos)
+      << plan->explain;
+  const std::vector<int64_t> probed = counts();
+  EXPECT_EQ(scanned, probed);
+  for (size_t i = 0; i < queries.size(); ++i)
+    EXPECT_EQ(probed[i], queries[i].second) << queries[i].first;
+}
+
 TEST_F(IndexPlanTest, MaintenanceAcrossUpdateAndDelete) {
   const AttrIndex* ix = db_.FindAttrIndexByName("note_name");
   ASSERT_NE(ix, nullptr);

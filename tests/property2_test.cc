@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 
 #include "common/random.h"
 #include "common/strings.h"
@@ -25,9 +26,15 @@ namespace {
 
 struct HeapParam {
   uint64_t seed;
-  size_t pool_frames;
-  int ops;
+  uint64_t pool_frames;
+  int32_t ops;
+  // Explicit tail field: with no padding, every byte gtest prints into
+  // the case name is defined, so the name is the same in every build.
+  int32_t reserved = 0;
 };
+static_assert(sizeof(HeapParam) == 24 &&
+                  std::has_unique_object_representations_v<HeapParam>,
+              "HeapParam must have no padding");
 
 class HeapFilePropertyTest : public testing::TestWithParam<HeapParam> {};
 

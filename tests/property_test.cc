@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 #include <numeric>
 #include <set>
 
@@ -76,10 +77,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RationalPropertyTest,
 
 struct OrderingParam {
   uint64_t seed;
-  int n_parents;
-  int n_children;
-  int ops;
+  int32_t n_parents;
+  int32_t n_children;
+  int32_t ops;
+  // Explicit tail field: with no padding, every byte gtest prints into
+  // the case name is defined, so the name is the same in every build.
+  int32_t reserved = 0;
 };
+static_assert(sizeof(OrderingParam) == 24 &&
+                  std::has_unique_object_representations_v<OrderingParam>,
+              "OrderingParam must have no padding");
 
 class OrderingPropertyTest : public testing::TestWithParam<OrderingParam> {};
 
@@ -333,7 +340,9 @@ struct CodecParam {
   int32_t length;
   uint32_t tag;
 };
-static_assert(sizeof(CodecParam) == 16, "CodecParam must have no padding");
+static_assert(sizeof(CodecParam) == 16 &&
+                  std::has_unique_object_representations_v<CodecParam>,
+              "CodecParam must have no padding");
 
 class DeltaCodecPropertyTest : public testing::TestWithParam<CodecParam> {};
 

@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <list>
 #include <optional>
+#include <map>
 #include <regex>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "ddl/parser.h"
 #include "er/database.h"
 #include "net/connection.h"
@@ -23,6 +26,15 @@ namespace {
 using er::EntityId;
 using er::OrderingHandle;
 using rel::Value;
+
+/// The ordering every compiled ordering operator of `plan` was bound to,
+/// in compile order.
+std::vector<OrderingHandle> OrderHandles(const Plan& plan) {
+  std::vector<OrderingHandle> out;
+  for (const CompiledQual& q : plan.quals)
+    if (q.kind == Qual::Kind::kOrder) out.push_back(q.ordering);
+  return out;
+}
 
 /// Chords with named notes plus a recursive section tree:
 ///   section 1 > section 2 > notes 100, 200 (sec_tree)
@@ -220,10 +232,11 @@ TEST_F(QuelPlannerTest, PlanOrdersBySelectivityThenCardinality) {
   EXPECT_STREQ(AccessPathName(plan->vars[1]), "ordering");
   EXPECT_EQ(plan->vars[1].slice_anchor, "chord");
   EXPECT_EQ(plan->vars[1].slice, er::OrderingSlice::kDescendants);
-  ASSERT_EQ(plan->order_handles.size(), 1u);
-  EXPECT_EQ(plan->vars[1].slice_ordering, plan->order_handles.begin()->second);
-  EXPECT_EQ(db_.ordering_def(plan->order_handles.begin()->second).name,
-            "note_in_chord");
+  const std::vector<er::OrderingHandle> handles = OrderHandles(*plan);
+  ASSERT_EQ(handles.size(), 1u);
+  EXPECT_EQ(plan->vars[1].slice_ordering, handles[0]);
+  EXPECT_EQ(db_.ordering_def(handles[0]).name, "note_in_chord");
+  EXPECT_EQ(plan->vars[1].slice_anchor_slot, 0u);
   // The naive plan keeps the scan and evaluates the conjunct innermost.
   auto naive = PlanQuery(&db_, {}, (*stmts)[0], /*pushdown=*/false);
   ASSERT_TRUE(naive.ok());
@@ -284,7 +297,7 @@ TEST_F(QuelPlannerTest, PlanBindsOrderingInsideOrAndNot) {
                                                {"n2", "NOTE"}};
   auto plan = PlanQuery(&db_, ranges, (*stmts)[1], /*pushdown=*/true);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->order_handles.size(), 2u);
+  EXPECT_EQ(OrderHandles(*plan).size(), 2u);
 }
 
 TEST_F(QuelPlannerTest, PlanErrors) {
@@ -804,6 +817,369 @@ TEST_P(IndexAblationFuzz, IndexedAndUnindexedDatabasesStayEquivalent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexAblationFuzz,
                          testing::Values(1u, 2u, 3u));
+
+// ----------------------------------------------------------------------
+// CompiledEvaluatorFuzz: the compiled evaluator (slot-resolved
+// expressions over a frame of bound records) against a reference built
+// from the direct API — GetAttribute for every attribute, role_refs for
+// roles, Before/Under for the ordering operators, ForEachEntity /
+// ForEachRelationship for enumeration. Seeded data mixes null, int,
+// float, string and ref attributes; the query shapes cover comparisons
+// under or/not, `is`, relationship roles and attributes, ordering
+// operators inside and outside or, grouped and plain aggregates, and
+// type errors, which must surface exactly when a row reaches them
+// (never over an empty extent). Every query runs planned and naive;
+// rows are compared as multisets.
+// ----------------------------------------------------------------------
+
+class CompiledEvaluatorFuzz : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(CompiledEvaluatorFuzz, CompiledMatchesDirectApiReference) {
+  const uint64_t seed = GetParam();
+  er::Database db;
+  ASSERT_TRUE(ddl::ExecuteDdl(R"(
+    define entity GRP (g = integer)
+    define entity PART (n = integer, f = float, s = string, r = GRP)
+    define entity EMPTY (x = string)
+    define ordering part_in_grp (PART) under GRP
+    define relationship LINK (src = PART, dst = PART, w = integer)
+  )",
+                              &db)
+                  .ok());
+  Rng rng(seed);
+  auto ok = [](const Status& s) { ASSERT_TRUE(s.ok()) << s.ToString(); };
+  std::vector<EntityId> grps, parts;
+  const int n_grps = 3 + static_cast<int>(rng.Uniform(3));
+  for (int i = 0; i < n_grps; ++i) {
+    EntityId g = *db.CreateEntity("GRP");
+    if (i != 0) ok(db.SetAttribute(g, "g", Value::Int(i)));
+    grps.push_back(g);
+  }
+  const double floats[] = {-1.5, 0.0, 2.0, 2.5, 3.0};
+  const int n_parts = 15 + static_cast<int>(rng.Uniform(20));
+  for (int i = 0; i < n_parts; ++i) {
+    EntityId p = *db.CreateEntity("PART");
+    if (rng.Bernoulli(0.85))
+      ok(db.SetAttribute(p, "n", Value::Int(rng.Range(-3, 3))));
+    if (rng.Bernoulli(0.85))
+      ok(db.SetAttribute(p, "f", Value::Float(floats[rng.Uniform(5)])));
+    if (rng.Bernoulli(0.85))
+      ok(db.SetAttribute(
+          p, "s", Value::String(StrFormat("s%d", (int)rng.Uniform(4)))));
+    if (rng.Bernoulli(0.8))
+      ok(db.SetAttribute(p, "r", Value::Ref(grps[rng.Uniform(grps.size())])));
+    if (rng.Bernoulli(0.7))
+      ok(db.AppendChild("part_in_grp", grps[rng.Uniform(grps.size())], p));
+    parts.push_back(p);
+  }
+  for (int i = 0; i < 12; ++i) {
+    auto l = db.Connect("LINK", {{"src", parts[rng.Uniform(parts.size())]},
+                                 {"dst", parts[rng.Uniform(parts.size())]}});
+    ASSERT_TRUE(l.ok());
+    if (rng.Bernoulli(0.8))
+      ok(db.SetRelationshipAttribute(*l, "w", Value::Int(rng.Range(0, 4))));
+  }
+  db.PublishSnapshot();
+  const er::OrderingHandle h = *db.ResolveOrderingHandle("part_in_grp");
+
+  // Direct-API reference helpers.
+  auto attr = [&](EntityId id, const char* name) {
+    return *db.GetAttribute(id, name);
+  };
+  // Value::Compare folded to a predicate; nullopt is a type error.
+  auto holds = [](const Value& a, CompareOp op,
+                  const Value& b) -> std::optional<bool> {
+    Result<int> c = a.Compare(b);
+    if (!c.ok()) return std::nullopt;
+    switch (op) {
+      case CompareOp::kEq: return *c == 0;
+      case CompareOp::kNe: return *c != 0;
+      case CompareOp::kLt: return *c < 0;
+      case CompareOp::kLe: return *c <= 0;
+      case CompareOp::kGt: return *c > 0;
+      case CompareOp::kGe: return *c >= 0;
+    }
+    return std::nullopt;
+  };
+  auto is = [](const Value& a, const Value& b) {
+    return !a.is_null() && !b.is_null() && a.AsRef() == b.AsRef();
+  };
+  struct Link {
+    EntityId src, dst;
+    Value w;
+  };
+  std::vector<Link> links;
+  ASSERT_TRUE(db.ForEachRelationship("LINK", [&](const er::RelationshipInstance&
+                                                     ri) {
+                  links.push_back({ri.role_refs[0], ri.role_refs[1],
+                                   ri.attrs[0]});
+                  return true;
+                }).ok());
+  // Rows as a sorted multiset of encodings.
+  using Rows = std::vector<std::vector<Value>>;
+  auto canon = [](const Rows& rows) {
+    std::vector<std::string> out;
+    for (const auto& row : rows) {
+      ByteWriter w;
+      for (const Value& v : row) v.Encode(&w);
+      out.emplace_back(w.data().begin(), w.data().end());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  // Reference accumulator for one aggregate: rows seen, the best (min
+  // or max) non-null value, and the integer sum.
+  struct Agg {
+    int64_t count = 0;
+    bool any = false;
+    Value best;
+    int64_t isum = 0;
+  };
+
+  Connection conn = Connection::Local(&db);
+  const char* kOps[] = {"=", "!=", "<", "<=", ">", ">="};
+  const CompareOp kCmp[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
+  int errors_seen = 0;
+  int nonempty = 0;
+  constexpr int kQueries = 120;
+  for (int qi = 0; qi < kQueries; ++qi) {
+    const int64_t k = rng.Range(-3, 3);
+    const size_t oi = rng.Uniform(6);
+    const double x = floats[rng.Uniform(5)];
+    const std::string sv = StrFormat("s%d", (int)rng.Uniform(4));
+    std::string query;
+    Rows expect;
+    bool expect_error = false;
+    switch (rng.Uniform(9)) {
+      case 0: {
+        // Comparisons under or/not over int, float (vs int too), string.
+        query = StrFormat(
+            "range of p is PART retrieve (p.n, p.f, p.s, p.r) "
+            "where (p.n %s %lld or not (p.f >= %s)) and p.s != \"%s\" "
+            "and p.f %s %lld",
+            kOps[oi], (long long)k, StrFormat("%.1f", x).c_str(),
+            sv.c_str(), kOps[(oi + 3) % 6], (long long)k);
+        for (EntityId p : parts) {
+          bool a = *holds(attr(p, "n"), kCmp[oi], Value::Int(k)) ||
+                   !*holds(attr(p, "f"), CompareOp::kGe, Value::Float(x));
+          if (a && *holds(attr(p, "s"), CompareOp::kNe, Value::String(sv)) &&
+              *holds(attr(p, "f"), kCmp[(oi + 3) % 6], Value::Int(k)))
+            expect.push_back(
+                {attr(p, "n"), attr(p, "f"), attr(p, "s"), attr(p, "r")});
+        }
+        break;
+      }
+      case 1: {
+        // `is` between a ref attribute and an entity variable.
+        query = StrFormat(
+            "range of p is PART range of g is GRP retrieve (p.n, g.g, g) "
+            "where p.r is g and (g.g %s %lld or p.s = \"%s\")",
+            kOps[oi], (long long)k, sv.c_str());
+        for (EntityId p : parts)
+          for (EntityId g : grps)
+            if (is(attr(p, "r"), Value::Ref(g)) &&
+                (*holds(attr(g, "g"), kCmp[oi], Value::Int(k)) ||
+                 *holds(attr(p, "s"), CompareOp::kEq, Value::String(sv))))
+              expect.push_back({attr(p, "n"), attr(g, "g"), Value::Ref(g)});
+        break;
+      }
+      case 2: {
+        // Ordering operators: a sliced `before`, or two inside `or`.
+        const bool sliced = rng.Bernoulli(0.5);
+        query = StrFormat(
+            sliced ? "range of p, q is PART retrieve (p.n, q.n) where p "
+                     "before q in part_in_grp and q.n = %lld"
+                   : "range of p, q is PART retrieve (p.n, q.n) where q.n = "
+                     "%lld and (p before q in part_in_grp or p after q in "
+                     "part_in_grp)",
+            (long long)k);
+        for (EntityId p : parts)
+          for (EntityId q : parts)
+            if ((*db.Before(h, p, q) || (!sliced && *db.After(h, p, q))) &&
+                *holds(attr(q, "n"), CompareOp::kEq, Value::Int(k)))
+              expect.push_back({attr(p, "n"), attr(q, "n")});
+        break;
+      }
+      case 3: {
+        // `under` as a slice, and `not under` as a filter.
+        const bool negate = rng.Bernoulli(0.5);
+        query = StrFormat(
+            "range of p is PART range of g is GRP retrieve (p.s, g.g) "
+            "where %s(p under g in part_in_grp) and g.g %s %lld",
+            negate ? "not " : "", kOps[oi], (long long)k);
+        for (EntityId g : grps)
+          for (EntityId p : parts)
+            if (*db.Under(h, p, g) != negate &&
+                *holds(attr(g, "g"), kCmp[oi], Value::Int(k)))
+              expect.push_back({attr(p, "s"), attr(g, "g")});
+        break;
+      }
+      case 4: {
+        // Relationship roles and attributes.
+        query = StrFormat(
+            "range of l is LINK range of a is PART retrieve (l.w, l.dst, a.n) "
+            "where l.src is a and (l.w %s %lld or not (a.n = %lld))",
+            kOps[oi], (long long)k, (long long)k);
+        for (const Link& l : links)
+          for (EntityId a : parts)
+            if (l.src == a && (*holds(l.w, kCmp[oi], Value::Int(k)) ||
+                               !*holds(attr(a, "n"), CompareOp::kEq,
+                                       Value::Int(k))))
+              expect.push_back({l.w, Value::Ref(l.dst), attr(a, "n")});
+        break;
+      }
+      case 5: {
+        // Grouped aggregates: by string, by ref, by role.
+        const int which = static_cast<int>(rng.Uniform(3));
+        std::map<std::string, std::pair<std::vector<Value>, Agg>> groups;
+        auto feed = [&](std::vector<Value> key, const Value& v, bool maxv) {
+          ByteWriter w;
+          for (const Value& kv : key) kv.Encode(&w);
+          auto& [by, agg] =
+              groups[std::string(w.data().begin(), w.data().end())];
+          by = std::move(key);
+          ++agg.count;
+          if (v.is_null()) return;
+          if (v.type() == rel::ValueType::kInt) agg.isum += v.AsInt();
+          if (!agg.any || (maxv ? *v.Compare(agg.best) > 0
+                                : *v.Compare(agg.best) < 0))
+            agg.best = v;
+          agg.any = true;
+        };
+        if (which == 0) {
+          query = StrFormat(
+              "range of p is PART retrieve (c = count(p by p.s)) "
+              "where p.n %s %lld",
+              kOps[oi], (long long)k);
+          for (EntityId p : parts)
+            if (*holds(attr(p, "n"), kCmp[oi], Value::Int(k)))
+              feed({attr(p, "s")}, Value::Null(), true);
+          for (auto& [key, g] : groups)
+            expect.push_back({g.first[0], Value::Int(g.second.count)});
+        } else if (which == 1) {
+          query = "range of p is PART retrieve (m = max(p.f by p.r, p.s))";
+          for (EntityId p : parts)
+            feed({attr(p, "r"), attr(p, "s")}, attr(p, "f"), true);
+          for (auto& [key, g] : groups)
+            expect.push_back({g.first[0], g.first[1], g.second.best});
+        } else {
+          query = StrFormat(
+              "range of l is LINK retrieve (t = sum(l.w by l.dst)) "
+              "where l.w != %lld",
+              (long long)k);
+          for (const Link& l : links)
+            if (*holds(l.w, CompareOp::kNe, Value::Int(k)))
+              feed({Value::Ref(l.dst)}, l.w, true);
+          for (auto& [key, g] : groups)
+            expect.push_back({g.first[0], Value::Int(g.second.isum)});
+        }
+        break;
+      }
+      case 6: {
+        // Plain aggregates over a filtered extent.
+        query = StrFormat(
+            "range of p is PART retrieve (c = count(p), lo = min(p.f), "
+            "hi = max(p.n), t = sum(p.n)) where p.s %s \"%s\"",
+            kOps[oi], sv.c_str());
+        Agg c, lo, hi;
+        for (EntityId p : parts) {
+          if (!*holds(attr(p, "s"), kCmp[oi], Value::String(sv))) continue;
+          ++c.count;
+          for (auto [agg, v, maxv] :
+               {std::tuple<Agg*, Value, bool>{&lo, attr(p, "f"), false},
+                std::tuple<Agg*, Value, bool>{&hi, attr(p, "n"), true}}) {
+            if (v.is_null()) continue;
+            if (v.type() == rel::ValueType::kInt) agg->isum += v.AsInt();
+            if (!agg->any || (maxv ? *v.Compare(agg->best) > 0
+                                   : *v.Compare(agg->best) < 0))
+              agg->best = v;
+            agg->any = true;
+          }
+        }
+        expect.push_back({Value::Int(c.count), lo.best, hi.best,
+                          Value::Int(hi.isum)});
+        break;
+      }
+      case 7: {
+        // Type errors surface per row: a string compared with an int, a
+        // relationship variable used as a value. Over an empty extent
+        // the same statement succeeds with no rows.
+        const int which = static_cast<int>(rng.Uniform(3));
+        if (which == 0) {
+          query = StrFormat(
+              "range of p is PART retrieve (p.n) where p.s < %lld",
+              (long long)k);
+          for (EntityId p : parts) {
+            std::optional<bool> r =
+                holds(attr(p, "s"), CompareOp::kLt, Value::Int(k));
+            if (!r) expect_error = true;
+            else if (*r) expect.push_back({attr(p, "n")});
+          }
+        } else if (which == 1) {
+          query = "range of l is LINK retrieve (l, l.w)";
+          expect_error = !links.empty();
+        } else {
+          query = StrFormat(
+              "range of e is EMPTY retrieve (e.x) where e.x < %lld",
+              (long long)k);
+        }
+        break;
+      }
+      default: {
+        // `is` between two entity variables, and null refs never match.
+        query = StrFormat(
+            "range of p, q is PART retrieve (p.n, q.n) where p.r is q.r "
+            "and p.n %s q.n",
+            kOps[oi]);
+        for (EntityId p : parts)
+          for (EntityId q : parts)
+            if (is(attr(p, "r"), attr(q, "r")) &&
+                *holds(attr(p, "n"), kCmp[oi], attr(q, "n")))
+              expect.push_back({attr(p, "n"), attr(q, "n")});
+        break;
+      }
+    }
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " query " << qi
+                                    << ": " << query);
+    if (!expect.empty()) ++nonempty;
+    for (bool naive : {false, true}) {
+      auto rs = naive ? conn.local_session()->ExecuteNaive(query)
+                      : conn.Execute(query);
+      if (expect_error) {
+        ASSERT_FALSE(rs.ok()) << (naive ? "naive" : "planned");
+        EXPECT_EQ(rs.status().code(), StatusCode::kTypeError)
+            << rs.status().ToString();
+        ++errors_seen;
+        continue;
+      }
+      ASSERT_TRUE(rs.ok()) << (naive ? "naive: " : "planned: ")
+                           << rs.status().ToString();
+      ASSERT_EQ(canon(rs->rows), canon(expect))
+          << (naive ? "naive" : "planned");
+    }
+  }
+  EXPECT_GT(errors_seen, 0);
+  EXPECT_GT(nonempty, kQueries / 2);  // the comparisons are not vacuous
+  // Name errors are plan-time: an unknown attribute or role fails even
+  // over an empty extent, with the per-row lookup's old message.
+  auto bad_attr = conn.Execute("range of e is EMPTY retrieve (e.nope)");
+  ASSERT_FALSE(bad_attr.ok());
+  EXPECT_EQ(bad_attr.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(bad_attr.status().message().find(
+                "entity type EMPTY has no attribute nope"),
+            std::string::npos)
+      << bad_attr.status().ToString();
+  auto bad_role = conn.Execute("range of l is LINK retrieve (l.nope)");
+  ASSERT_FALSE(bad_role.ok());
+  EXPECT_NE(bad_role.status().message().find(
+                "relationship LINK has no role or attribute nope"),
+            std::string::npos)
+      << bad_role.status().ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompiledEvaluatorFuzz,
+                         testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
 }  // namespace mdm::quel

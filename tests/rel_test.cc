@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "rel/schema.h"
 #include "rel/table.h"
 #include "rel/value.h"
@@ -32,6 +34,37 @@ TEST(ValueTest, CompareSemantics) {
             StatusCode::kTypeError);
   EXPECT_FALSE(Value::Int(1).Equals(Value::String("1")));
   EXPECT_TRUE(Value::Int(2).Equals(Value::Float(2.0)));
+}
+
+TEST(ValueTest, NumericCompareIsExact) {
+  constexpr int64_t k53 = int64_t{1} << 53;  // 2^53: doubles stop at ints
+  // int with int never rounds through a double.
+  EXPECT_EQ(*Value::Int(k53 + 1).Compare(Value::Int(k53)), 1);
+  EXPECT_EQ(*Value::Int(k53).Compare(Value::Int(k53 + 1)), -1);
+  EXPECT_FALSE(Value::Int(k53 + 1).Equals(Value::Int(k53)));
+  EXPECT_EQ(*Value::Int(INT64_MAX).Compare(Value::Int(INT64_MAX - 1)), 1);
+  // int with float is exact too: 2^53 + 1 is not the double 2^53, but
+  // an integral double equals the int it converts to (AttrKeyFor's
+  // canonical key), in both argument orders.
+  EXPECT_EQ(*Value::Int(k53 + 1).Compare(Value::Float(9007199254740992.0)), 1);
+  EXPECT_EQ(*Value::Float(9007199254740992.0).Compare(Value::Int(k53 + 1)),
+            -1);
+  EXPECT_EQ(*Value::Int(k53).Compare(Value::Float(9007199254740992.0)), 0);
+  EXPECT_TRUE(Value::Float(9007199254740992.0).Equals(Value::Int(k53)));
+  EXPECT_FALSE(Value::Float(9007199254740992.0).Equals(Value::Int(k53 + 1)));
+  // Fractions break ties on either side of zero.
+  EXPECT_EQ(*Value::Int(3).Compare(Value::Float(3.5)), -1);
+  EXPECT_EQ(*Value::Int(4).Compare(Value::Float(3.5)), 1);
+  EXPECT_EQ(*Value::Int(-3).Compare(Value::Float(-3.5)), 1);
+  EXPECT_EQ(*Value::Int(-4).Compare(Value::Float(-3.5)), -1);
+  EXPECT_EQ(*Value::Int(0).Compare(Value::Float(-0.0)), 0);
+  // Past the int64 range every double is beyond every int; -2^63 is the
+  // one boundary double an int equals.
+  constexpr double k2to63 = 9223372036854775808.0;
+  EXPECT_EQ(*Value::Int(INT64_MAX).Compare(Value::Float(k2to63)), -1);
+  EXPECT_EQ(*Value::Int(INT64_MIN).Compare(Value::Float(-k2to63)), 0);
+  EXPECT_EQ(*Value::Int(INT64_MIN).Compare(Value::Float(-1e19)), 1);
+  EXPECT_EQ(*Value::Float(1e300).Compare(Value::Int(INT64_MAX)), 1);
 }
 
 TEST(ValueTest, EncodeDecodeAllTypes) {
