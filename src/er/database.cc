@@ -238,6 +238,7 @@ Database& Database::operator=(Database&& other) noexcept {
   wal_ = other.wal_;
   coordinator_ = other.coordinator_;
   open_txn_ = other.open_txn_;
+  group_flight_ = std::move(other.group_flight_);
   group_active_ = other.group_active_;
   replaying_ = other.replaying_;
 
@@ -277,22 +278,19 @@ const EntityRecord* Database::FindEntity(EntityId id) const {
 
 void Database::FindEntities(const EntityId* ids, size_t n,
                             const EntityRecord** out) const {
-  using EntityMap = PMap<EntityId, std::shared_ptr<EntityRecord>>;
-  constexpr size_t kLanes = EntityMap::kFindLanes;
-  const EntityMap& entities = ReadTables().entities;
-  for (size_t base = 0; base < n; base += kLanes) {
-    const size_t m = n - base < kLanes ? n - base : kLanes;
-    const std::shared_ptr<EntityRecord>* found[kLanes];
-    entities.FindMany(ids + base, m, found);
-    for (size_t i = 0; i < m; ++i) {
-      out[base + i] = found[i] == nullptr ? nullptr : found[i]->get();
-      if (out[base + i] != nullptr) __builtin_prefetch(out[base + i]);
+  // Prefetch a batch of records before reading any of them, then their
+  // attribute arrays (their own allocations), so those misses overlap.
+  constexpr size_t kBatch = 16;
+  const auto& entities = ReadTables().entities;
+  for (size_t base = 0; base < n; base += kBatch) {
+    const size_t end = n - base < kBatch ? n : base + kBatch;
+    for (size_t i = base; i < end; ++i) {
+      const std::shared_ptr<EntityRecord>* p = entities.Find(ids[i]);
+      out[i] = p == nullptr ? nullptr : p->get();
+      if (out[i] != nullptr) __builtin_prefetch(out[i]);
     }
-    // The attribute arrays live in their own allocations; start those
-    // loads too before anyone reads a value.
-    for (size_t i = 0; i < m; ++i)
-      if (out[base + i] != nullptr)
-        __builtin_prefetch(out[base + i]->attrs.data());
+    for (size_t i = base; i < end; ++i)
+      if (out[i] != nullptr) __builtin_prefetch(out[i]->attrs.data());
   }
 }
 
@@ -425,6 +423,7 @@ Status Database::LogOp(Op op, const std::vector<uint8_t>& payload) {
   if (group_active_) {
     // Statement group: open the group's transaction lazily on the first
     // journaled op; EndStatementGroup commits it.
+    if (coordinator_ != nullptr) group_flight_ = coordinator_->Open();
     MDM_ASSIGN_OR_RETURN(open_txn_, wal_->Begin());
     return wal_->LogOp(open_txn_, std::move(bytes));
   }
@@ -432,10 +431,13 @@ Status Database::LogOp(Op op, const std::vector<uint8_t>& payload) {
   // fsync is group-amortized (we block here, latch held — correct but
   // unbatched for single-threaded direct-API use; the executor's
   // statement groups are the fast path).
+  CommitCoordinator::Txn flight;
+  if (coordinator_ != nullptr) flight = coordinator_->Open();
   MDM_ASSIGN_OR_RETURN(uint64_t txn, wal_->Begin());
   MDM_RETURN_IF_ERROR(wal_->LogOp(txn, std::move(bytes)));
   if (coordinator_ != nullptr) {
     MDM_ASSIGN_OR_RETURN(uint64_t lsn, wal_->CommitNoSync(txn));
+    flight.Committed(lsn);
     return coordinator_->WaitDurable(lsn);
   }
   return wal_->Commit(txn);
@@ -474,14 +476,17 @@ Result<uint64_t> Database::EndStatementGroup() {
     open_txn_ = 0;
     if (coordinator_ != nullptr && wal_ != nullptr) {
       Result<uint64_t> r = wal_->CommitNoSync(txn);
-      if (r.ok())
+      if (r.ok()) {
         lsn = *r;
-      else
+        group_flight_.Committed(lsn);
+      } else {
         commit = r.status();
+      }
     } else if (wal_ != nullptr) {
       commit = wal_->Commit(txn);
     }
   }
+  group_flight_ = {};  // a failed or absent commit leaves nothing in flight
   // Visibility before durability (async-commit style): the new state is
   // published now; the caller acks only after WaitDurable returns.
   PublishSnapshot();

@@ -14,6 +14,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "er/commit_coordinator.h"
 #include "er/pmap.h"
 #include "er/schema.h"
 #include "rel/value.h"
@@ -21,8 +22,6 @@
 #include "storage/wal.h"
 
 namespace mdm::er {
-
-class CommitCoordinator;
 
 /// Identifier of a relationship instance.
 using RelInstanceId = uint64_t;
@@ -256,8 +255,8 @@ class Database {
   /// The stored records of `n` entities in the tables this thread
   /// reads (the pinned snapshot under a SnapshotReadScope): out[i] is
   /// the record of ids[i], or nullptr. Attribute j of a record is
-  /// attribute j of its type's definition. The lookups overlap in
-  /// memory (PMap::FindMany), and each record is prefetched. Records
+  /// attribute j of its type's definition. Each record and its
+  /// attribute array are prefetched, a batch at a time. Records
   /// stay valid while those tables are unchanged: one read statement,
   /// or the enumeration of a mutating one (the QUEL executor fetches
   /// each bound row's record once and reads its attributes by slot).
@@ -498,7 +497,10 @@ class Database {
   /// With one attached, auto-committed mutations and statement groups
   /// commit through CommitNoSync and block in the coordinator until a
   /// leader's single fsync covers them. Pass nullptr to detach.
-  void AttachCommitCoordinator(CommitCoordinator* c) { coordinator_ = c; }
+  void AttachCommitCoordinator(CommitCoordinator* c) {
+    group_flight_ = {};
+    coordinator_ = c;
+  }
   CommitCoordinator* commit_coordinator() const { return coordinator_; }
   /// Groups subsequent ops into one transaction until CommitTxn.
   Status BeginTxn();
@@ -630,6 +632,9 @@ class Database {
   storage::WalWriter* wal_ = nullptr;
   CommitCoordinator* coordinator_ = nullptr;
   uint64_t open_txn_ = 0;
+  // The open statement group's transaction, in flight for the
+  // coordinator's window rule (empty without a coordinator).
+  CommitCoordinator::Txn group_flight_;
   bool group_active_ = false;
   bool replaying_ = false;
 };

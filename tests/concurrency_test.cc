@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
@@ -28,6 +29,7 @@
 #include "ddl/parser.h"
 #include "er/database.h"
 #include "er/persist.h"
+#include "er/pmap.h"
 #include "er/session.h"
 #include "obs/metrics.h"
 #include "net/connection.h"
@@ -754,6 +756,45 @@ TEST(GroupCommitConcurrency, ConcurrentCommittersAllDurableAndBatched) {
   remove_files();
 }
 
+// The group-commit window is for committers that can join the batch: a
+// lone committer is acknowledged after its own fsync, with no window,
+// even when the window is configured far longer than the test allows.
+TEST(GroupCommitConcurrency, LoneCommitterPaysNoWindow) {
+  const std::string path = testing::TempDir() + "/mdm_group_commit_lone.mdm";
+  auto remove_files = [&] {
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
+    std::remove((path + ".wal").c_str());
+  };
+  remove_files();
+  obs::Counter* windows = obs::Registry::Global()->GetCounter(
+      "mdm_wal_group_commit_windows_total");
+  {
+    auto h = er::DurableDatabase::Open(path);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    (*h)->EnableGroupCommit({/*interval_us=*/2'000'000, /*max_batch=*/64});
+    er::Database* db = (*h)->db();
+    mdm::Connection conn = mdm::Connection::Local(db);
+    ASSERT_TRUE(conn.Execute("define entity NOTE (name = integer)").ok());
+    const uint64_t windows_before = windows->value();
+    for (int i = 0; i < 3; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      ASSERT_TRUE(
+          conn.Execute(StrFormat("append to NOTE (name = %d)", i)).ok());
+      ASSERT_TRUE(db->CreateEntity("NOTE").ok());  // auto-commit path
+      EXPECT_LT(std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count(),
+                1.0);
+    }
+    EXPECT_EQ(windows->value(), windows_before);
+  }
+  auto h = er::DurableDatabase::Open(path);
+  ASSERT_TRUE(h.ok()) << h.status().ToString();
+  EXPECT_EQ(*(*h)->db()->CountEntities("NOTE"), 6u);
+  remove_files();
+}
+
 // ----------------------------------------------------------------------
 // Recovery paths hold their locks correctly too: replaying a journal
 // into a live database under a WriteGuard while readers hammer it.
@@ -796,6 +837,89 @@ TEST(FreeRunningConcurrency, JournalReplayUnderWriteGuardExcludesReaders) {
   reader.join();
   EXPECT_EQ(violations.load(), 0);
   EXPECT_EQ(*db.CountEntities("NOTE"), 30u);
+}
+
+// ----------------------------------------------------------------------
+// er::PMap under the snapshot discipline: one writer mutates its own
+// map value and publishes copies; readers pin a published copy and walk
+// it with no lock. Between publishes the writer edits in place whatever
+// no published copy shares, so a write that reached a pinned version
+// would break the version's own checksum (and TSan flags the race).
+// ----------------------------------------------------------------------
+TEST(PMapConcurrency, ReadersWalkPinnedSnapshotsWhileWriterPublishes) {
+  // Two maps over the same keys: a flat value and a shared_ptr value,
+  // so a reader also checks the two agree. Key 0 holds the checksum.
+  struct Version {
+    er::PMap<uint64_t, uint64_t> flat;
+    er::PMap<uint64_t, std::shared_ptr<const uint64_t>> boxed;
+  };
+  std::mutex publish_mu;
+  std::shared_ptr<const Version> published = std::make_shared<Version>();
+  std::atomic<bool> stop{false};
+  std::atomic<int> violations{0};
+  std::atomic<uint64_t> walks{0};
+
+  std::thread writer([&] {
+    Rng rng(20261019);
+    Version live;
+    for (int version = 1; version <= 400; ++version) {
+      // Dense ids, a few sparse ones (root growth), overwrites, erases.
+      for (int op = 0; op < 40; ++op) {
+        uint64_t key = 1 + rng.Uniform(4000);
+        if (rng.Uniform(20) == 0) key = (uint64_t{1} << 33) + rng.Uniform(64);
+        if (rng.Uniform(4) == 0) {
+          live.flat.Erase(key);
+          live.boxed.Erase(key);
+        } else {
+          const uint64_t v = rng.Next() >> 8;
+          live.flat.Insert(key, v);
+          live.boxed.Insert(key, std::make_shared<const uint64_t>(v));
+        }
+      }
+      uint64_t sum = 0;
+      live.flat.ForEach([&](uint64_t k, uint64_t v) {
+        if (k != 0) sum += v;
+        return true;
+      });
+      live.flat.Insert(0, sum);
+      live.boxed.Insert(0, std::make_shared<const uint64_t>(sum));
+      auto snap = std::make_shared<const Version>(live);
+      std::lock_guard<std::mutex> lock(publish_mu);
+      published = std::move(snap);
+    }
+    stop.store(true);
+  });
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        std::shared_ptr<const Version> pin;
+        {
+          std::lock_guard<std::mutex> lock(publish_mu);
+          pin = published;
+        }
+        uint64_t sum = 0;
+        size_t n = 0;
+        pin->flat.ForEach([&](uint64_t k, uint64_t v) {
+          ++n;
+          if (k != 0) sum += v;
+          const std::shared_ptr<const uint64_t>* b = pin->boxed.Find(k);
+          if (b == nullptr || **b != v) violations.fetch_add(1);
+          return true;
+        });
+        const uint64_t* want = pin->flat.Find(0);
+        if (n != pin->flat.size() || n != pin->boxed.size() ||
+            (want != nullptr && *want != sum))
+          violations.fetch_add(1);
+        walks.fetch_add(1);
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_GT(walks.load(), 0u);
 }
 
 }  // namespace

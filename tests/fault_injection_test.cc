@@ -5,6 +5,7 @@
 // corrupt snapshots).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -12,6 +13,7 @@
 
 #include "common/failpoint.h"
 #include "er/persist.h"
+#include "net/connection.h"
 #include "rel/value.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injection.h"
@@ -257,6 +259,40 @@ TEST_F(PersistFaultTest, SnapshotWriteFailureKeepsOldPairRecoverable) {
   auto handle = DurableDatabase::Open(path);
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   EXPECT_EQ((*handle)->db()->TotalEntities(), 4u);
+}
+
+// A committer whose journal append fails — its begin, op or commit
+// record — must not stay counted in flight: a leaked count would hold
+// every later lone commit for the coordinator's whole window.
+TEST_F(PersistFaultTest, FailedJournalAppendLeavesNoCommitterInFlight) {
+  std::string path = TempPath("gc_in_flight.mdm");
+  auto handle = DurableDatabase::Open(path);
+  ASSERT_TRUE(handle.ok());
+  (*handle)->EnableGroupCommit({/*interval_us=*/2'000'000, /*max_batch=*/64});
+  Database* db = (*handle)->db();
+  DefineSchemaAndNotes(db, 1);
+  mdm::Connection conn = mdm::Connection::Local(db);
+  auto lone_commit_seconds = [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_TRUE(conn.Execute("append to NOTE (pitch = 70)").ok());
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  for (uint64_t nth = 1; nth <= 3; ++nth) {
+    // Statement group: the nth append of the statement fails.
+    FailpointRegistry::Global()->Arm(
+        "wal.append", Failpoint::FailNth(nth, FaultKind::kError));
+    (void)conn.Execute("append to NOTE (pitch = 61)");
+    FailpointRegistry::Global()->Reset();
+    EXPECT_LT(lone_commit_seconds(), 1.0) << "statement, append " << nth;
+    // Auto-commit through the direct API: the same, one op per txn.
+    FailpointRegistry::Global()->Arm(
+        "wal.append", Failpoint::FailNth(nth, FaultKind::kError));
+    (void)db->CreateEntity("NOTE");
+    FailpointRegistry::Global()->Reset();
+    EXPECT_LT(lone_commit_seconds(), 1.0) << "auto-commit, append " << nth;
+  }
 }
 
 TEST_F(PersistFaultTest, SilentlyTornSnapshotCaughtBeforeJournalRotation) {

@@ -730,13 +730,14 @@ TEST_F(NetServerTest, BackpressureRejectsBeyondMaxConnections) {
 TEST_F(NetServerTest, DeadlineExceededIsReported) {
   StartServer();
   net::ClientOptions copts;
-  copts.deadline_ms = 1;  // the n×n scan below takes well over 1ms
+  // The n×n scan below, then n² result rows, take well over 1ms.
+  copts.deadline_ms = 1;
   auto conn =
       Connection::Remote("127.0.0.1", server_->port(), copts);
   ASSERT_TRUE(conn.ok());
   auto rs = conn->Execute(
-      "range of a, b is NOTE\n"
-      "retrieve (a.name) where a.name = b.name");
+      "range of a, b, c is NOTE\n"
+      "retrieve (a.name) where a.name = b.name and c.name >= 0");
   ASSERT_FALSE(rs.ok());
   EXPECT_EQ(rs.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(rs.status().error_code(), ErrorCode::DEADLINE_EXCEEDED);
