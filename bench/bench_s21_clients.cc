@@ -6,6 +6,7 @@
 // degenerates toward <= 1 (threads time-slice one core and pay latch
 // traffic on top); the JSON line carries hw_threads so results are
 // interpreted against the machine that produced them.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -104,6 +105,12 @@ double MeasureQps(mdm::er::Database* db, int threads) {
 /// are appended under the latch and the fsync is batched in the
 /// coordinator outside it — the write-path overhaul's headline number.
 constexpr int kWriters = 8;
+/// Group commit off/on is measured as this many back-to-back pairs per
+/// reader count, the side that runs first alternating pair by pair, so
+/// a drift across the run (page cache, thermal, a neighbour's load)
+/// cannot favour one side; the on/off ratio is reported as its median
+/// and its min/max over the pairs.
+constexpr int kPairs = 5;
 
 double MeasureWriterQps(const std::string& path, int readers,
                         bool group_commit) {
@@ -215,30 +222,54 @@ int main(int argc, char** argv) {
       kWriters);
   const std::string wpath = "bench_s21_writers.mdm";
   const int reader_counts[] = {1, 4, 8};
-  double wqps_on[3] = {};
-  double wqps_off[3] = {};
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  // Per reader count: median writes/s off and on, and the median, min
+  // and max of the per-pair on/off ratio.
+  double wqps_off[3] = {}, wqps_on[3] = {};
+  double ratio_med[3] = {}, ratio_min[3] = {}, ratio_max[3] = {};
   for (int i = 0; i < 3; ++i) {
-    wqps_off[i] = MeasureWriterQps(wpath, reader_counts[i], false);
-    wqps_on[i] = MeasureWriterQps(wpath, reader_counts[i], true);
+    std::vector<double> off, on, ratio;
+    for (int p = 0; p < kPairs; ++p) {
+      const bool on_first = p % 2 == 1;
+      double first = MeasureWriterQps(wpath, reader_counts[i], on_first);
+      double second = MeasureWriterQps(wpath, reader_counts[i], !on_first);
+      off.push_back(on_first ? second : first);
+      on.push_back(on_first ? first : second);
+      ratio.push_back(off.back() > 0 ? on.back() / off.back() : 0.0);
+    }
+    wqps_off[i] = median(off);
+    wqps_on[i] = median(on);
+    ratio_med[i] = median(ratio);
+    ratio_min[i] = *std::min_element(ratio.begin(), ratio.end());
+    ratio_max[i] = *std::max_element(ratio.begin(), ratio.end());
     std::printf(
         "%d reader(s) + %d writers: %8.0f writes/s (group commit off)  "
-        "%8.0f writes/s (on)  %.1fx\n",
-        reader_counts[i], kWriters, wqps_off[i], wqps_on[i],
-        wqps_off[i] > 0 ? wqps_on[i] / wqps_off[i] : 0.0);
+        "%8.0f writes/s (on)  %.2fx [%.2f-%.2f over %d pairs]\n",
+        reader_counts[i], kWriters, wqps_off[i], wqps_on[i], ratio_med[i],
+        ratio_min[i], ratio_max[i], kPairs);
   }
-  double speedup_8r =
-      wqps_off[2] > 0 ? wqps_on[2] / wqps_off[2] : 0.0;
-  std::printf("\ngroup-commit speedup under 8 readers: %.1fx\n",
-              speedup_8r);
+  std::printf("\ngroup-commit speedup under 8 readers: %.2fx (median of "
+              "%d pairs)\n",
+              ratio_med[2], kPairs);
   std::printf(
       "BENCH_JSON {\"bench\": \"s21_writers\", \"writers\": %d, "
-      "\"seconds_per_point\": %.2f, "
+      "\"seconds_per_point\": %.2f, \"pairs\": %d, "
       "\"gc_off_qps_r1\": %.0f, \"gc_off_qps_r4\": %.0f, "
       "\"gc_off_qps_r8\": %.0f, "
       "\"gc_on_qps_r1\": %.0f, \"gc_on_qps_r4\": %.0f, "
       "\"gc_on_qps_r8\": %.0f, "
-      "\"gc_speedup_r8\": %.3f, \"hw_threads\": %u}\n",
-      kWriters, kSecondsPerPoint, wqps_off[0], wqps_off[1], wqps_off[2],
-      wqps_on[0], wqps_on[1], wqps_on[2], speedup_8r, hw);
+      "\"gc_speedup_r1\": %.3f, \"gc_speedup_r1_min\": %.3f, "
+      "\"gc_speedup_r1_max\": %.3f, "
+      "\"gc_speedup_r4\": %.3f, \"gc_speedup_r4_min\": %.3f, "
+      "\"gc_speedup_r4_max\": %.3f, "
+      "\"gc_speedup_r8\": %.3f, \"gc_speedup_r8_min\": %.3f, "
+      "\"gc_speedup_r8_max\": %.3f, \"hw_threads\": %u}\n",
+      kWriters, kSecondsPerPoint, kPairs, wqps_off[0], wqps_off[1],
+      wqps_off[2], wqps_on[0], wqps_on[1], wqps_on[2], ratio_med[0],
+      ratio_min[0], ratio_max[0], ratio_med[1], ratio_min[1], ratio_max[1],
+      ratio_med[2], ratio_min[2], ratio_max[2], hw);
   return 0;
 }

@@ -1,14 +1,17 @@
 // §5.2 secondary attribute indexes: the thematic-catalog lookup
 // ("retrieve the piece named X") and the §5.6 `is` join ("notes of the
 // chord c"), each through the planner with the index defined versus the
-// EnableAttrIndex(false) linear-scan ablation. Google-benchmark curves
-// show the indexed side flat in corpus size while the scan grows
+// EnableAttrIndex(false) linear-scan ablation, plus footnote 3's caveat:
+// a selection on an unindexed attribute of an indexed entity type scans
+// no matter which other attribute is indexed. Google-benchmark curves
+// show the indexed side flat in corpus size while the scans grow
 // linearly; the BENCH_JSON block carries the 10^4-entry acceptance
-// numbers (>=100x on both shapes).
+// numbers (>=100x on both indexed shapes) and the wrong-key curve.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 
 #include "bench_util.h"
 #include "net/connection.h"
@@ -26,11 +29,14 @@ using mdm::rel::Value;
 // The paper's NOTE/CHORD schema with an entity-valued NOTE.chord
 // reference (the §5.6 join target) and secondary indexes on both the
 // note name (thematic catalog) and the chord reference (is-join).
+// NOTE.serial is deliberately left unindexed (footnote 3's wrong key);
+// it is unique per note, like the name, so both selections return one
+// row.
 Database MakeIndexedChordDb(int n_chords, int notes_per_chord) {
   Database db;
   auto ddl = mdm::ddl::ExecuteDdl(R"(
     define entity CHORD (name = integer)
-    define entity NOTE (name = integer, chord = CHORD)
+    define entity NOTE (name = integer, chord = CHORD, serial = integer)
     define index chord_name on CHORD(name)
     define index note_name on NOTE(name)
     define index note_chord on NOTE(chord)
@@ -43,6 +49,7 @@ Database MakeIndexedChordDb(int n_chords, int notes_per_chord) {
     (void)db.SetAttribute(chord, "name", Value::Int(c));
     for (int n = 0; n < notes_per_chord; ++n) {
       EntityId note = *db.CreateEntity("NOTE");
+      (void)db.SetAttribute(note, "serial", Value::Int(note_name));
       (void)db.SetAttribute(note, "name", Value::Int(note_name++));
       (void)db.SetAttribute(note, "chord", Value::Ref(chord));
     }
@@ -54,6 +61,14 @@ Database MakeIndexedChordDb(int n_chords, int notes_per_chord) {
 // last-created name) for the scan.
 std::string LookupQuery(int total_notes) {
   return "range of n is NOTE\nretrieve (n.name) where n.name = " +
+         std::to_string(total_notes - 1);
+}
+
+// Footnote 3: "a relation sorted on composition title cannot
+// efficiently support a selection based on composer name". The same
+// one-row selection as LookupQuery, but on the unindexed serial.
+std::string WrongKeyQuery(int total_notes) {
+  return "range of n is NOTE\nretrieve (n.name) where n.serial = " +
          std::to_string(total_notes - 1);
 }
 
@@ -83,6 +98,17 @@ void BM_LookupLinearScan(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(conn.Execute(q)->size());
 }
 BENCHMARK(BM_LookupLinearScan)->Arg(64)->Arg(1024)->Arg(10000);
+
+// Indexes stay enabled: note_name and note_chord exist, neither covers
+// serial, so the planner must scan.
+void BM_WrongKeySelection(benchmark::State& state) {
+  int notes = static_cast<int>(state.range(0));
+  Database db = MakeIndexedChordDb(1, notes);
+  Connection conn = Connection::Local(&db);
+  std::string q = WrongKeyQuery(notes);
+  for (auto _ : state) benchmark::DoNotOptimize(conn.Execute(q)->size());
+}
+BENCHMARK(BM_WrongKeySelection)->Arg(64)->Arg(1024)->Arg(10000);
 
 // The is-join keeps the chord fan-out fixed at 10 notes per chord and
 // grows the corpus, so the indexed side stays proportional to the
@@ -132,9 +158,29 @@ double NsPerOp(F&& f, int iters) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
 }
 
+// Footnote 3's row: the wrong-key selection at `notes` entries with
+// every index enabled. Aborts unless `explain` shows a plain scan.
+double WrongKeyNs(int notes, int iters) {
+  Database db = MakeIndexedChordDb(1, notes);
+  Connection conn = Connection::Local(&db);
+  std::string q = WrongKeyQuery(notes);
+  std::string explain = q;
+  explain.insert(explain.find("retrieve"), "explain ");
+  auto plan = conn.Execute(explain);
+  if (!plan.ok() || plan->explain.find(" via ") != std::string::npos) {
+    std::fprintf(stderr, "wrong-key selection is not a scan:\n%s\n",
+                 plan.ok() ? plan->explain.c_str()
+                           : plan.status().ToString().c_str());
+    std::abort();
+  }
+  return NsPerOp([&] { benchmark::DoNotOptimize(conn.Execute(q)->size()); },
+                 iters);
+}
+
 // The acceptance comparison at 10^4 entries, one JSON object so runs
 // can be diffed: indexed vs EnableAttrIndex(false) for the catalog
-// lookup and the is-join, plus the registry's index counters.
+// lookup and the is-join, the wrong-key scan at 10^3 and 10^4 entries,
+// plus the registry's index counters.
 void EmitAcceptanceJson() {
   constexpr int kIters = 200;
   MetricsSection metrics;
@@ -163,19 +209,29 @@ void EmitAcceptanceJson() {
       kIters / 10);
   corpus.EnableAttrIndex(true);
 
+  double wrong_1k = WrongKeyNs(1000, kIters / 2);
+  double wrong_10k = WrongKeyNs(10000, kIters / 10);
+
   std::printf(
       "BENCH_JSON {\"bench\": \"s52_attr_index\", "
       "\"scale\": {\"notes\": 10000, \"chords\": 1000}, \"results\": ["
       "{\"op\": \"catalog_lookup\", \"indexed_ns\": %.0f, "
       "\"unindexed_ns\": %.0f, \"speedup\": %.1f}, "
       "{\"op\": \"is_join\", \"indexed_ns\": %.0f, "
-      "\"unindexed_ns\": %.0f, \"speedup\": %.1f}], "
+      "\"unindexed_ns\": %.0f, \"speedup\": %.1f}, "
+      "{\"op\": \"wrong_key\", \"plan\": \"scan\", "
+      "\"ns_at_1000\": %.0f, \"ns_at_10000\": %.0f, "
+      "\"growth_10x\": %.1f, \"vs_unindexed_lookup\": %.2f}], "
       "\"metrics\": {%s}}\n",
       lookup_idx, lookup_scan, lookup_scan / lookup_idx, join_idx, join_scan,
-      join_scan / join_idx, metrics.DeltaJson().c_str());
+      join_scan / join_idx, wrong_1k, wrong_10k, wrong_10k / wrong_1k,
+      wrong_10k / lookup_scan, metrics.DeltaJson().c_str());
   std::printf("acceptance (>=100x at 10^4 entries): lookup %.1fx, "
-              "is-join %.1fx\n\n",
+              "is-join %.1fx\n",
               lookup_scan / lookup_idx, join_scan / join_idx);
+  std::printf("footnote 3 (wrong key scans, ~10x per 10x entries): "
+              "%.1fx from 10^3 to 10^4\n\n",
+              wrong_10k / wrong_1k);
 }
 
 }  // namespace
@@ -185,9 +241,11 @@ int main(int argc, char** argv) {
   mdm::bench::PrintHeader(
       "§5.2 — secondary attribute indexes",
       "the thematic-catalog lookup and the §5.6 is-join, indexed vs "
-      "the EnableAttrIndex(false) linear-scan ablation");
+      "the EnableAttrIndex(false) linear-scan ablation; footnote 3's "
+      "wrong-key selection");
   std::printf("expect: indexed lookup/join flat in corpus size; the\n"
-              "ablated scans linear. IndexedUpdate shows the per-mutation\n"
+              "ablated scans linear, and so is the wrong-key selection\n"
+              "with every index on. IndexedUpdate shows the per-mutation\n"
               "maintenance price.\n\n");
   EmitAcceptanceJson();
   benchmark::Initialize(&argc, argv);

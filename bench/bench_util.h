@@ -69,7 +69,7 @@ inline er::EntityId MakeRandomScore(er::Database* db, int n_measures,
 
 /// Snapshots the obs registry's monotonic series around a timed bench
 /// section, so the BENCH_JSON line can attribute registry activity
-/// (buffer-pool hit rates, fsync counts, ...) to that section.
+/// (index probes, rows scanned, fsync counts, ...) to that section.
 ///
 ///   MetricsSection metrics;
 ///   ... timed work ...

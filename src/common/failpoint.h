@@ -24,15 +24,17 @@ enum class FaultKind : uint8_t {
   /// Power dies mid-operation: the bytes in flight tear, and every
   /// subsequent I/O through the same registry fails until Reset.
   kPowerCut,
-  /// Network kinds (net::FaultInjectingTransport; no-ops for disk
-  /// sinks). kCorrupt: the bytes in flight are delivered with one byte
-  /// flipped but the operation reports success — the wire analog of a
-  /// torn write, detectable only by the frame CRC. kDisconnect: the
-  /// connection hard-closes before the operation touches the wire (a
-  /// peer death / RST). kDelay: the operation completes intact after a
-  /// stall of FaultDecision::delay_ms. kDrop: the bytes in flight are
-  /// silently swallowed and the operation reports success — the peer
-  /// waits forever and only a deadline rescues the caller.
+  /// Network kinds, interpreted by net::FaultInjectingTransport; the
+  /// storage call sites (WAL, snapshot) model only the kinds above, so
+  /// storage points are armed with those alone. kCorrupt: the bytes in
+  /// flight are delivered with one byte flipped but the operation
+  /// reports success — the wire analog of a torn write, detectable only
+  /// by the frame CRC. kDisconnect: the connection hard-closes before
+  /// the operation touches the wire (a peer death / RST). kDelay: the
+  /// operation completes intact after a stall of
+  /// FaultDecision::delay_ms. kDrop: the bytes in flight are silently
+  /// swallowed and the operation reports success — the peer waits
+  /// forever and only a deadline rescues the caller.
   kCorrupt,
   kDisconnect,
   kDelay,
@@ -94,8 +96,8 @@ class Failpoint {
 
 /// Named failpoints plus a cross-point power-cut trigger.
 ///
-/// Storage call sites (FileDiskManager, FileWalSink, the snapshot
-/// writer) evaluate named points on every physical I/O. With nothing
+/// Storage call sites (FileWalSink, the snapshot writer, journal
+/// rotation) evaluate named points on every physical I/O. With nothing
 /// armed, Eval is a single branch and does not count, so production use
 /// pays nothing. The power-cut mode counts *every* evaluation across
 /// all points and cuts power on the chosen one, which is what the

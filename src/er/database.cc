@@ -129,17 +129,6 @@ int64_t AttrKeyFor(const Value& v) {
   return 0;
 }
 
-// EntityIds are allocated sequentially from 1, so they fit the 48-bit
-// (page, slot) Rid with room to spare.
-storage::Rid RidForEntity(EntityId id) {
-  return storage::Rid{static_cast<storage::PageId>(id >> 16),
-                      static_cast<uint16_t>(id & 0xFFFF)};
-}
-
-EntityId EntityForRid(const storage::Rid& rid) {
-  return (static_cast<EntityId>(rid.page_id) << 16) | rid.slot;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -1199,7 +1188,7 @@ Status Database::DefineIndex(AttrIndexDef def) {
     by->second.ForEach([&](EntityId id, uint8_t) {
       const Value& v = (*live_.entities.Find(id))->attrs[ix->attr_slot];
       if (!v.is_null()) {
-        ix->tree.Insert(AttrKeyFor(v), RidForEntity(id));
+        ix->tree.Insert(AttrKeyFor(v), id);
         IndexCounters::Get().inserts->Inc();
       }
       return true;
@@ -1259,9 +1248,7 @@ std::vector<EntityId> Database::IndexLookup(const AttrIndex& index,
   if (&t == &live_) {
     // Live read: the caller holds the db latch (shared or exclusive),
     // which already excludes tree maintenance (exclusive latch).
-    for (const storage::Rid& rid : index.tree.Find(AttrKeyFor(key)))
-      out.push_back(EntityForRid(rid));
-    return out;
+    return index.tree.Find(AttrKeyFor(key));
   }
   // Snapshot probe. The tree is shared mutable state, so synchronize
   // with writer maintenance on probe_mu and fence on the erase epoch
@@ -1276,8 +1263,7 @@ std::vector<EntityId> Database::IndexLookup(const AttrIndex& index,
     if (slot != nullptr &&
         index.erase_epoch.load(std::memory_order_acquire) ==
             slot->erase_epoch) {
-      for (const storage::Rid& rid : index.tree.Find(AttrKeyFor(key))) {
-        EntityId id = EntityForRid(rid);
+      for (EntityId id : index.tree.Find(AttrKeyFor(key))) {
         // Rows inserted after the snapshot are filtered here (and by the
         // retained equality conjunct for value changes).
         if (t.entities.Contains(id)) out.push_back(id);
@@ -1311,13 +1297,13 @@ void Database::AttrIndexOnSet(const EntityRecord& rec, uint32_t attr_slot,
       continue;
     std::unique_lock<std::shared_mutex> probe(ix.probe_mu);
     if (!old_value.is_null() &&
-        ix.tree.Erase(AttrKeyFor(old_value), RidForEntity(rec.id))) {
+        ix.tree.Erase(AttrKeyFor(old_value), rec.id)) {
       ix.erase_epoch.fetch_add(1, std::memory_order_release);
       attr_erase_dirty_ = true;
       IndexCounters::Get().erases->Inc();
     }
     if (!new_value.is_null()) {
-      ix.tree.Insert(AttrKeyFor(new_value), RidForEntity(rec.id));
+      ix.tree.Insert(AttrKeyFor(new_value), rec.id);
       IndexCounters::Get().inserts->Inc();
     }
   }
@@ -1333,7 +1319,7 @@ void Database::AttrIndexOnDelete(const EntityRecord& rec) {
     const Value& v = rec.attrs[ix.attr_slot];
     if (v.is_null()) continue;
     std::unique_lock<std::shared_mutex> probe(ix.probe_mu);
-    if (ix.tree.Erase(AttrKeyFor(v), RidForEntity(rec.id))) {
+    if (ix.tree.Erase(AttrKeyFor(v), rec.id)) {
       ix.erase_epoch.fetch_add(1, std::memory_order_release);
       attr_erase_dirty_ = true;
       IndexCounters::Get().erases->Inc();
@@ -1371,7 +1357,7 @@ Result<uint64_t> Database::EndBulkIndexLoad() {
       by->second.ForEach([&](EntityId id, uint8_t) {
         const Value& v = (*live_.entities.Find(id))->attrs[ix.attr_slot];
         if (!v.is_null()) {
-          ix.tree.Insert(AttrKeyFor(v), RidForEntity(id));
+          ix.tree.Insert(AttrKeyFor(v), id);
           IndexCounters::Get().inserts->Inc();
         }
         return true;

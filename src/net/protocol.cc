@@ -124,9 +124,7 @@ Result<Frame> DecodeFrame(const uint8_t* data, size_t size,
 }
 
 Frame EncodeExecuteRequest(const ExecuteRequest& req) {
-  // v3 payload: u32 deadline_ms, u64 trace_id, u8 flags, string script.
-  // (v2 omitted the trace fields; DecodeExecuteRequest branches on the
-  // frame's stamped version.)
+  // Payload: u32 deadline_ms, u64 trace_id, u8 flags, string script.
   ByteWriter w;
   w.PutU32(req.deadline_ms);
   w.PutU64(req.trace_id);
@@ -143,13 +141,11 @@ Result<ExecuteRequest> DecodeExecuteRequest(const Frame& frame) {
     return InvalidArgument("frame is not an ExecuteRequest");
   ByteReader r(frame.payload);
   ExecuteRequest req;
+  uint8_t flags = 0;
   MDM_RETURN_IF_ERROR(r.GetU32(&req.deadline_ms));
-  if (frame.version >= 3) {
-    uint8_t flags = 0;
-    MDM_RETURN_IF_ERROR(r.GetU64(&req.trace_id));
-    MDM_RETURN_IF_ERROR(r.GetU8(&flags));
-    req.trace_sampled = (flags & 0x1) != 0;
-  }
+  MDM_RETURN_IF_ERROR(r.GetU64(&req.trace_id));
+  MDM_RETURN_IF_ERROR(r.GetU8(&flags));
+  req.trace_sampled = (flags & 0x1) != 0;
   MDM_RETURN_IF_ERROR(r.GetString(&req.script));
   if (!r.AtEnd()) return Corruption("trailing bytes after ExecuteRequest");
   return req;
@@ -184,8 +180,8 @@ Status DecodeErrorFrame(const Frame& frame, Status* out) {
 }
 
 Frame EncodeBatchExecuteRequest(const BatchExecuteRequest& req) {
-  // v4 payload: u32 deadline_ms, u64 trace_id, u8 flags, varint N,
-  // N x string scripts. The shared prefix deliberately mirrors a v3
+  // Payload: u32 deadline_ms, u64 trace_id, u8 flags, varint N,
+  // N x string scripts. The shared prefix deliberately mirrors an
   // ExecuteRequest so the two request kinds stay diffable on the wire.
   ByteWriter w;
   w.PutU32(req.deadline_ms);
@@ -202,9 +198,6 @@ Frame EncodeBatchExecuteRequest(const BatchExecuteRequest& req) {
 Result<BatchExecuteRequest> DecodeBatchExecuteRequest(const Frame& frame) {
   if (frame.type != FrameType::kBatchExecuteRequest)
     return InvalidArgument("frame is not a BatchExecuteRequest");
-  if (frame.version < 4)
-    return InvalidArgument("batch frames require protocol v4, frame is v" +
-                           std::to_string(frame.version));
   ByteReader r(frame.payload);
   BatchExecuteRequest req;
   uint8_t flags = 0;

@@ -28,17 +28,15 @@ namespace mdm::net {
 /// All integers little-endian (the ByteWriter/ByteReader convention
 /// shared with the storage layer). Strings are varint-length-prefixed.
 ///
-/// Version negotiation is per-frame and implicit: both sides accept the
-/// whole [kMinProtocolVersion, kProtocolVersion] range, decode each
-/// frame per its own stamped version, and the server mirrors a
-/// request's version onto its reply frames — so a v2 client talks to a
-/// v3 server without a handshake round.
+/// There is one wire grammar: every client is built from this tree, so
+/// both sides stamp and accept v4 only. A frame stamped with any other
+/// version is answered with INVALID_ARGUMENT and the connection keeps
+/// serving (its framing is intact).
 
 inline constexpr uint8_t kProtocolVersion = 4;
-/// Oldest version this build still decodes (v2 added retry_after_ms on
-/// error frames; v3 added trace_id/sampling on ExecuteRequest; v4 added
-/// the batch frames kBatchExecuteRequest/kBatchStatus).
-inline constexpr uint8_t kMinProtocolVersion = 2;
+/// Oldest version this build decodes (docs/PROTOCOL.md "Versioning"
+/// has the revision history).
+inline constexpr uint8_t kMinProtocolVersion = 4;
 inline constexpr uint32_t kFrameMagic = 0x504D444Du;  // "MDMP" on the wire
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Default cap on a single frame's payload. Oversized frames are
@@ -58,8 +56,7 @@ enum class FrameType : uint8_t {
 struct Frame {
   FrameType type = FrameType::kPing;
   /// Stamped into the header by EncodeFrame; set from the header by
-  /// DecodeFrame/ReadFrame. The server copies a request's version onto
-  /// its replies so old clients keep decoding them.
+  /// DecodeFrame/ReadFrame, which reject unsupported versions.
   uint8_t version = kProtocolVersion;
   std::vector<uint8_t> payload;
 };

@@ -267,15 +267,9 @@ void Server::ServeConnection(uint64_t id, int fd) {
   if (opts_.write_timeout_ms != 0)
     (void)t->SetSendTimeout(opts_.write_timeout_ms);
 
-  // The peer's protocol version, updated from each frame it sends; the
-  // server mirrors it onto replies so a v2 client decodes a v3
-  // server's answers (docs/PROTOCOL.md "Versioning").
-  uint8_t peer_version = kProtocolVersion;
-
   // Sends an error/pong/page frame, counting write timeouts; false
   // means the connection is unusable and the loop must exit.
-  auto send_frame = [&](Frame f) {
-    f.version = peer_version;
+  auto send_frame = [&](const Frame& f) {
     Status ws = WriteFrame(t.get(), f);
     if (ws.ok()) {
       // Counted only once the frame is actually on the wire — a write
@@ -349,7 +343,6 @@ void Server::ServeConnection(uint64_t id, int fd) {
       continue;
     }
     saw_frame = true;
-    peer_version = frame->version;
     bytes_in_total_->Inc(kFrameHeaderBytes + frame->payload.size());
     if (frame->type == FrameType::kPing) {
       Frame pong;

@@ -16,8 +16,8 @@ namespace mdm::net {
 /// The byte-stream seam under the mdmd wire protocol. Client and Server
 /// frame all socket I/O through a Transport: production code uses
 /// TcpTransport (a thin wrapper over a connected socket), chaos tests
-/// interpose FaultInjectingTransport — the network analog of PR 1's
-/// FaultInjectingDiskManager (storage/fault_injection.h).
+/// interpose FaultInjectingTransport — the network analog of
+/// FaultInjectingWalSink (storage/fault_injection.h).
 ///
 /// Failure taxonomy the implementations must honor (docs/ROBUSTNESS.md):
 ///  * Unavailable       — the peer is gone (reset, refused, EOF mid-op)

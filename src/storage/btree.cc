@@ -10,9 +10,11 @@ namespace mdm::storage {
 struct BTree::Node {
   bool is_leaf;
   // Internal nodes: keys.size() + 1 == children.size(); subtree
-  // children[i] holds keys < keys[i] (by (key) comparison, duplicates may
-  // straddle — search always descends then walks the leaf chain).
-  std::vector<int64_t> keys;
+  // children[i] holds entries e with keys[i-1] <= e < keys[i] in (key, id)
+  // order, so the leaf chain is (key, id)-sorted. Duplicates of one key
+  // may straddle a separator: a key search descends to the leftmost
+  // leaf that can hold it, then walks the chain.
+  std::vector<Entry> keys;
   std::vector<std::unique_ptr<Node>> children;  // internal only
   std::vector<Entry> entries;                   // leaf only
   Node* next = nullptr;                         // leaf chain
@@ -29,14 +31,14 @@ BTree::BTree(BTree&&) noexcept = default;
 BTree& BTree::operator=(BTree&&) noexcept = default;
 
 BTree::Node* BTree::FindLeaf(int64_t key) const {
-  // Descend with lower_bound: duplicates of a key may straddle a
-  // separator (left child holds keys <= separator), so searches must
-  // start at the LEFTMOST leaf that can contain `key` and then walk the
-  // leaf chain rightward.
+  // Descend past every separator whose key is below `key`: that is the
+  // LEFTMOST leaf that can contain `key`; the caller walks the leaf
+  // chain rightward from there.
   Node* node = root_.get();
   while (!node->is_leaf) {
     size_t i = static_cast<size_t>(
-        std::lower_bound(node->keys.begin(), node->keys.end(), key) -
+        std::lower_bound(node->keys.begin(), node->keys.end(), key,
+                         [](const Entry& s, int64_t k) { return s.key < k; }) -
         node->keys.begin());
     node = node->children[i].get();
   }
@@ -46,10 +48,10 @@ BTree::Node* BTree::FindLeaf(int64_t key) const {
 void BTree::SplitChild(Node* parent, size_t child_index) {
   Node* child = parent->children[child_index].get();
   auto right = std::make_unique<Node>(child->is_leaf);
-  int64_t separator;
+  Entry separator;
   if (child->is_leaf) {
     size_t mid = child->entries.size() / 2;
-    separator = child->entries[mid].key;
+    separator = child->entries[mid];
     right->entries.assign(child->entries.begin() + mid, child->entries.end());
     child->entries.resize(mid);
     right->next = child->next;
@@ -68,32 +70,27 @@ void BTree::SplitChild(Node* parent, size_t child_index) {
                           std::move(right));
 }
 
-void BTree::InsertNonFull(Node* node, int64_t key, const Rid& rid) {
+void BTree::InsertNonFull(Node* node, int64_t key, uint64_t id) {
+  const Entry e{key, id};
   while (!node->is_leaf) {
     size_t i = static_cast<size_t>(
-        std::upper_bound(node->keys.begin(), node->keys.end(), key) -
+        std::upper_bound(node->keys.begin(), node->keys.end(), e) -
         node->keys.begin());
     Node* child = node->children[i].get();
     bool full = child->is_leaf ? child->entries.size() >= max_entries_
                                : child->keys.size() >= max_entries_;
     if (full) {
       SplitChild(node, i);
-      if (key >= node->keys[i]) ++i;
+      if (!(e < node->keys[i])) ++i;
       child = node->children[i].get();
     }
     node = child;
   }
-  Entry e{key, rid};
-  auto pos = std::upper_bound(
-      node->entries.begin(), node->entries.end(), e,
-      [](const Entry& a, const Entry& b) {
-        if (a.key != b.key) return a.key < b.key;
-        return a.rid < b.rid;
-      });
-  node->entries.insert(pos, e);
+  node->entries.insert(
+      std::upper_bound(node->entries.begin(), node->entries.end(), e), e);
 }
 
-void BTree::Insert(int64_t key, const Rid& rid) {
+void BTree::Insert(int64_t key, uint64_t id) {
   Node* root = root_.get();
   bool full = root->is_leaf ? root->entries.size() >= max_entries_
                             : root->keys.size() >= max_entries_;
@@ -103,11 +100,11 @@ void BTree::Insert(int64_t key, const Rid& rid) {
     root_ = std::move(new_root);
     SplitChild(root_.get(), 0);
   }
-  InsertNonFull(root_.get(), key, rid);
+  InsertNonFull(root_.get(), key, id);
   ++size_;
 }
 
-bool BTree::Erase(int64_t key, const Rid& rid) {
+bool BTree::Erase(int64_t key, uint64_t id) {
   Node* leaf = FindLeaf(key);
   // Duplicates of `key` may continue into following leaves.
   while (leaf != nullptr) {
@@ -115,7 +112,7 @@ bool BTree::Erase(int64_t key, const Rid& rid) {
         leaf->entries.begin(), leaf->entries.end(), key,
         [](const Entry& e, int64_t k) { return e.key < k; });
     for (; it != leaf->entries.end() && it->key == key; ++it) {
-      if (it->rid == rid) {
+      if (it->id == id) {
         leaf->entries.erase(it);
         --size_;
         return true;
@@ -130,46 +127,27 @@ bool BTree::Erase(int64_t key, const Rid& rid) {
   return false;
 }
 
-std::vector<Rid> BTree::Find(int64_t key) const {
-  std::vector<Rid> out;
-  ScanRange(key, key, [&out](int64_t, const Rid& rid) {
-    out.push_back(rid);
-    return true;
-  });
+std::vector<uint64_t> BTree::Find(int64_t key) const {
+  std::vector<uint64_t> out;
+  for (const Node* leaf = FindLeaf(key); leaf != nullptr; leaf = leaf->next) {
+    auto it = std::lower_bound(
+        leaf->entries.begin(), leaf->entries.end(), key,
+        [](const Entry& e, int64_t k) { return e.key < k; });
+    for (; it != leaf->entries.end(); ++it) {
+      if (it->key != key) return out;
+      out.push_back(it->id);
+    }
+  }
   return out;
 }
 
-bool BTree::Contains(int64_t key) const {
-  bool found = false;
-  ScanRange(key, key, [&found](int64_t, const Rid&) {
-    found = true;
-    return false;
-  });
-  return found;
-}
-
-void BTree::ScanRange(
-    int64_t lo, int64_t hi,
-    const std::function<bool(int64_t, const Rid&)>& fn) const {
-  const Node* leaf = FindLeaf(lo);
-  while (leaf != nullptr) {
-    auto it = std::lower_bound(
-        leaf->entries.begin(), leaf->entries.end(), lo,
-        [](const Entry& e, int64_t k) { return e.key < k; });
-    for (; it != leaf->entries.end(); ++it) {
-      if (it->key > hi) return;
-      if (!fn(it->key, it->rid)) return;
-    }
-    leaf = leaf->next;
-  }
-}
-
-void BTree::ScanAll(const std::function<bool(int64_t, const Rid&)>& fn) const {
+void BTree::ScanAll(
+    const std::function<bool(int64_t, uint64_t)>& fn) const {
   const Node* node = root_.get();
   while (!node->is_leaf) node = node->children.front().get();
   while (node != nullptr) {
     for (const Entry& e : node->entries)
-      if (!fn(e.key, e.rid)) return;
+      if (!fn(e.key, e.id)) return;
     node = node->next;
   }
 }
@@ -192,7 +170,6 @@ Status BTree::CheckInvariants() const {
   };
   std::vector<Frame> stack{{root_.get(), 1}};
   int leaf_depth = -1;
-  const Node* prev_leaf = nullptr;
   while (!stack.empty()) {
     Frame f = stack.back();
     stack.pop_back();
@@ -203,11 +180,9 @@ Status BTree::CheckInvariants() const {
       for (size_t i = 1; i < f.node->entries.size(); ++i) {
         const Entry& a = f.node->entries[i - 1];
         const Entry& b = f.node->entries[i];
-        if (a.key > b.key || (a.key == b.key && !(a.rid < b.rid)))
+        if (!(a < b))
           return Corruption("b+tree leaf entries out of order");
       }
-      (void)prev_leaf;
-      prev_leaf = f.node;
     } else {
       if (f.node->children.size() != f.node->keys.size() + 1)
         return Corruption("b+tree internal child/key count mismatch");
@@ -219,13 +194,15 @@ Status BTree::CheckInvariants() const {
         stack.push_back({f.node->children[i].get(), f.depth + 1});
     }
   }
-  // 2) Leaf chain yields globally sorted entries and exactly size_ items.
+  // 2) Leaf chain yields (key, id)-sorted entries and exactly size_
+  // items.
   size_t count = 0;
-  int64_t last_key = INT64_MIN;
+  Entry last{};
   bool ordered = true;
-  ScanAll([&](int64_t key, const Rid&) {
-    if (key < last_key) ordered = false;
-    last_key = key;
+  ScanAll([&](int64_t key, uint64_t id) {
+    const Entry e{key, id};
+    if (count > 0 && !(last < e)) ordered = false;
+    last = e;
     ++count;
     return true;
   });

@@ -8,20 +8,20 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "storage/page.h"
 
 namespace mdm::storage {
 
-/// B+tree index mapping int64 keys to record ids.
+/// B+tree index mapping int64 keys to 64-bit ids (entity ids, for the
+/// er attribute indexes).
 ///
 /// Duplicate keys are allowed (an index on, say, note pitch has many
-/// records per key); entries are ordered by (key, rid). Deletion is
+/// entities per key); entries are ordered by (key, id). Deletion is
 /// lazy: entries are removed but nodes are not re-merged, which keeps
 /// the structure valid at some space cost — the workloads the paper
 /// implies (score editing) are strongly insert/read dominated.
 ///
-/// The tree lives in memory; Table persists it by rebuilding from the
-/// heap file on open (see rel/table.h).
+/// The tree lives in memory; er builds it from the entity records when
+/// an index is defined or a database is loaded.
 class BTree {
  public:
   /// `max_entries` is the node fan-out (>= 4).
@@ -33,24 +33,16 @@ class BTree {
   BTree(BTree&&) noexcept;
   BTree& operator=(BTree&&) noexcept;
 
-  void Insert(int64_t key, const Rid& rid);
+  void Insert(int64_t key, uint64_t id);
 
-  /// Removes the exact (key, rid) entry; false if absent.
-  bool Erase(int64_t key, const Rid& rid);
+  /// Removes the exact (key, id) entry; false if absent.
+  bool Erase(int64_t key, uint64_t id);
 
-  /// All rids for `key`, in rid order.
-  std::vector<Rid> Find(int64_t key) const;
+  /// All ids for `key`, in id order.
+  std::vector<uint64_t> Find(int64_t key) const;
 
-  /// True if at least one entry with `key` exists.
-  bool Contains(int64_t key) const;
-
-  /// Calls `fn(key, rid)` for all entries with lo <= key <= hi in key
-  /// order; stops early if `fn` returns false.
-  void ScanRange(int64_t lo, int64_t hi,
-                 const std::function<bool(int64_t, const Rid&)>& fn) const;
-
-  /// Full in-order scan.
-  void ScanAll(const std::function<bool(int64_t, const Rid&)>& fn) const;
+  /// Full scan in (key, id) order; stops early if `fn` returns false.
+  void ScanAll(const std::function<bool(int64_t, uint64_t)>& fn) const;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -65,13 +57,17 @@ class BTree {
   struct Node;
   struct Entry {
     int64_t key;
-    Rid rid;
+    uint64_t id;
+
+    friend bool operator<(const Entry& a, const Entry& b) {
+      return a.key != b.key ? a.key < b.key : a.id < b.id;
+    }
   };
 
   Node* FindLeaf(int64_t key) const;
   // Splits `node` (which is full); inserts the separator into the parent.
   void SplitChild(Node* parent, size_t child_index);
-  void InsertNonFull(Node* node, int64_t key, const Rid& rid);
+  void InsertNonFull(Node* node, int64_t key, uint64_t id);
 
   std::unique_ptr<Node> root_;
   size_t max_entries_;

@@ -1,7 +1,5 @@
 #include "storage/fault_injection.h"
 
-#include <cstring>
-
 namespace mdm::storage {
 
 namespace {
@@ -12,42 +10,6 @@ size_t KeepBytes(size_t n, double keep_fraction) {
 }
 
 }  // namespace
-
-Status FaultInjectingDiskManager::AllocatePage(PageId* id) {
-  if (fps_->Eval("disk.alloc").fired())
-    return IoError("injected allocation failure");
-  return base_->AllocatePage(id);
-}
-
-Status FaultInjectingDiskManager::ReadPage(PageId id, uint8_t* out) {
-  if (fps_->Eval("disk.read").fired())
-    return IoError("injected read failure");
-  return base_->ReadPage(id, out);
-}
-
-Status FaultInjectingDiskManager::WritePage(PageId id, const uint8_t* data) {
-  FaultDecision fault = fps_->Eval("disk.write");
-  if (!fault.fired()) return base_->WritePage(id, data);
-  if (fault.kind == FaultKind::kError)
-    return IoError("injected write failure");
-  // Torn page: a prefix of the new data lands, the rest keeps the old
-  // contents (or turns to garbage when the old page is unreadable).
-  uint8_t torn[kPageSize];
-  if (!base_->ReadPage(id, torn).ok())
-    for (size_t i = 0; i < kPageSize; ++i)
-      torn[i] = static_cast<uint8_t>(garbage_rng_.Next());
-  size_t keep = KeepBytes(kPageSize, fault.keep_fraction);
-  std::memcpy(torn, data, keep);
-  MDM_RETURN_IF_ERROR(base_->WritePage(id, torn));
-  if (fault.kind == FaultKind::kTornWrite) return Status::OK();  // silent
-  return IoError("injected torn write");
-}
-
-Status FaultInjectingDiskManager::Sync() {
-  if (fps_->Eval("disk.sync").fired())
-    return IoError("injected sync failure");
-  return base_->Sync();
-}
 
 Status FaultInjectingWalSink::Append(const std::vector<uint8_t>& bytes) {
   FaultDecision fault = fps_->Eval("walsink.append");

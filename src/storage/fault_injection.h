@@ -4,53 +4,19 @@
 #include <vector>
 
 #include "common/failpoint.h"
-#include "common/random.h"
-#include "storage/disk_manager.h"
 #include "storage/wal.h"
 
 namespace mdm::storage {
 
-/// DiskManager decorator that injects faults at page-I/O boundaries.
-///
-/// Evaluates named failpoints on `fps` (default: the process-global
-/// registry): "disk.alloc", "disk.read", "disk.write", "disk.sync".
-/// Semantics per FaultKind:
-///   kError       — the call fails with IoError, nothing reaches `base`;
-///   kShortWrite  — a torn page (prefix of the new data spliced onto
-///                  the old contents) reaches `base`, the call fails;
-///   kTornWrite   — the same torn page reaches `base` but the call
-///                  reports success: silent corruption, detectable only
-///                  by a checksumming layer underneath;
-///   kPowerCut    — as kShortWrite, and the registry latches power-out
-///                  so every later I/O fails.
-///
-/// Note: this decorator sits *above* its base manager. A torn write
-/// through it into a FileDiskManager is checksummed as-is (the tear
-/// happened above the checksum layer); to simulate a physical tear that
-/// checksums catch, arm FileDiskManager's own "disk.file.*" points.
-class FaultInjectingDiskManager : public DiskManager {
- public:
-  explicit FaultInjectingDiskManager(DiskManager* base,
-                                     FailpointRegistry* fps = nullptr)
-      : base_(base),
-        fps_(fps != nullptr ? fps : FailpointRegistry::Global()) {}
-
-  Status AllocatePage(PageId* id) override;
-  Status ReadPage(PageId id, uint8_t* out) override;
-  Status WritePage(PageId id, const uint8_t* data) override;
-  uint32_t NumPages() const override { return base_->NumPages(); }
-  Status Sync() override;
-
- private:
-  DiskManager* base_;
-  FailpointRegistry* fps_;
-  Rng garbage_rng_{0x70524E5Eull};  // fills torn tails when old data is gone
-};
-
 /// WalSink decorator injecting faults at append/sync boundaries via the
 /// failpoints "walsink.append" and "walsink.sync". Short and torn
 /// appends persist a prefix of the record bytes — exactly the torn tail
-/// WalRecover must stop at cleanly.
+/// WalRecover must stop at cleanly. Semantics per FaultKind:
+///   kError       — the call fails with IoError, nothing reaches `base`;
+///   kShortWrite, kPowerCut — a prefix reaches `base`, the call fails;
+///   kTornWrite   — the same prefix reaches `base` but the call reports
+///                  success: silent corruption that the record
+///                  checksums catch on recovery.
 class FaultInjectingWalSink : public WalSink {
  public:
   explicit FaultInjectingWalSink(WalSink* base,

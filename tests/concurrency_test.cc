@@ -35,8 +35,6 @@
 #include "net/connection.h"
 #include "quel/quel.h"
 #include "rel/value.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
 #include "storage/wal.h"
 
 namespace mdm {
@@ -297,86 +295,6 @@ TEST(FreeRunningConcurrency, SnapshotReadsNeverTornUnderMutation) {
   // Smoke-check the race actually exercised both orders (not a fixed
   // schedule artifact). With 1200*4 reads this is overwhelmingly likely.
   SUCCEED() << "x-before-y observed " << states_seen.load() << " times";
-}
-
-// ----------------------------------------------------------------------
-// BufferPool: concurrent clients fetch/latch/write/unpin against a pool
-// smaller than the page set. Every page carries the same 8-byte stamp
-// at its head and tail; a torn write or a lost update surfaces as a
-// head/tail mismatch. Exercises the pool mutex, per-frame latches,
-// eviction writebacks, and the stats snapshot.
-// ----------------------------------------------------------------------
-TEST(BufferPoolConcurrency, ConcurrentClientsSeeUntornPages) {
-  storage::MemoryDiskManager disk;
-  storage::BufferPool pool(&disk, /*capacity=*/8);
-  constexpr int kPages = 32;
-  std::vector<storage::PageId> ids;
-  for (int i = 0; i < kPages; ++i) {
-    auto page = pool.NewPage();
-    ASSERT_TRUE(page.ok());
-    ids.push_back((*page)->id);
-    ASSERT_TRUE(pool.UnpinPage((*page)->id, /*dirty=*/true).ok());
-  }
-
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 500;
-  std::atomic<int> violations{0};
-  std::atomic<uint64_t> stamp_source{1};
-
-  auto client = [&](uint64_t seed) {
-    Rng rng(seed);
-    for (int i = 0; i < kOpsPerThread; ++i) {
-      storage::PageId id = ids[rng.Uniform(kPages)];
-      auto page = pool.FetchPage(id);
-      if (!page.ok()) {
-        violations.fetch_add(1);
-        continue;
-      }
-      storage::Page* p = *page;
-      bool write = rng.Bernoulli(0.4);
-      if (write) {
-        uint64_t stamp = stamp_source.fetch_add(1, std::memory_order_relaxed);
-        {
-          std::unique_lock<std::shared_mutex> latch(p->latch);
-          std::memcpy(p->data, &stamp, sizeof(stamp));
-          std::memcpy(p->data + storage::kPageSize - sizeof(stamp), &stamp,
-                      sizeof(stamp));
-        }
-      } else {
-        uint64_t head = 0, tail = 0;
-        {
-          std::shared_lock<std::shared_mutex> latch(p->latch);
-          std::memcpy(&head, p->data, sizeof(head));
-          std::memcpy(&tail, p->data + storage::kPageSize - sizeof(tail),
-                      sizeof(tail));
-        }
-        if (head != tail) violations.fetch_add(1);
-      }
-      // Latch released above — pool calls are never made latch-in-hand.
-      if (!pool.UnpinPage(id, write).ok()) violations.fetch_add(1);
-    }
-  };
-
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kThreads; ++t) clients.emplace_back(client, 0xC0FFEE + t);
-  for (std::thread& t : clients) t.join();
-
-  EXPECT_EQ(violations.load(), 0);
-  ASSERT_TRUE(pool.FlushAll().ok());
-  // Evictions forced writebacks mid-run; the flushed images must be
-  // whole too.
-  for (storage::PageId id : ids) {
-    uint8_t buf[storage::kPageSize];
-    ASSERT_TRUE(disk.ReadPage(id, buf).ok());
-    uint64_t head = 0, tail = 0;
-    std::memcpy(&head, buf, sizeof(head));
-    std::memcpy(&tail, buf + storage::kPageSize - sizeof(tail), sizeof(tail));
-    EXPECT_EQ(head, tail) << "page " << id;
-  }
-  // Every client op is exactly one FetchPage (NewPage counts neither).
-  storage::BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<uint64_t>(kThreads * kOpsPerThread));
 }
 
 // ----------------------------------------------------------------------

@@ -1,13 +1,11 @@
 // Fault-injection suite: the failpoint registry itself, the
-// FaultInjecting{DiskManager,WalSink} decorators, physical-level tears
-// caught by page checksums, and DurableDatabase behavior under injected
-// snapshot/journal failures (torn WAL tails, bit-flipped records,
-// corrupt snapshots).
+// FaultInjectingWalSink decorator, and DurableDatabase behavior under
+// injected snapshot/journal failures (torn WAL tails, bit-flipped
+// records, corrupt snapshots).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -15,7 +13,6 @@
 #include "er/persist.h"
 #include "net/connection.h"
 #include "rel/value.h"
-#include "storage/disk_manager.h"
 #include "storage/fault_injection.h"
 #include "storage/wal.h"
 
@@ -70,130 +67,46 @@ TEST(FailpointTest, PowerCutLatchesAndCountsIo) {
   EXPECT_EQ(reg.io_count(), 0u);
 }
 
-class FaultDiskTest : public testing::Test {
- protected:
-  FaultDiskTest() : dm_(&base_, &reg_) {}
-  FailpointRegistry reg_;
-  MemoryDiskManager base_;
-  FaultInjectingDiskManager dm_;
-};
-
-TEST_F(FaultDiskTest, NthWriteFailsWithIoError) {
-  PageId id;
-  ASSERT_TRUE(dm_.AllocatePage(&id).ok());
-  uint8_t buf[kPageSize] = {1};
-  reg_.Arm("disk.write", Failpoint::FailNth(2, FaultKind::kError));
-  EXPECT_TRUE(dm_.WritePage(id, buf).ok());
-  EXPECT_EQ(dm_.WritePage(id, buf).code(), StatusCode::kIoError);
-  EXPECT_TRUE(dm_.WritePage(id, buf).ok());
-}
-
-TEST_F(FaultDiskTest, TornWriteIsSilentAndLeavesMixedPage) {
-  PageId id;
-  ASSERT_TRUE(dm_.AllocatePage(&id).ok());
-  uint8_t old_data[kPageSize];
-  uint8_t new_data[kPageSize];
-  std::memset(old_data, 0xAA, kPageSize);
-  std::memset(new_data, 0xBB, kPageSize);
-  ASSERT_TRUE(dm_.WritePage(id, old_data).ok());
-  reg_.Arm("disk.write",
-           Failpoint::FailNth(1, FaultKind::kTornWrite, 0.25));
-  EXPECT_TRUE(dm_.WritePage(id, new_data).ok());  // silent tear
-  uint8_t out[kPageSize];
-  ASSERT_TRUE(dm_.ReadPage(id, out).ok());
-  EXPECT_EQ(out[0], 0xBB);                 // new prefix landed
-  EXPECT_EQ(out[kPageSize - 1], 0xAA);     // old tail survived
-}
-
-TEST_F(FaultDiskTest, ShortWriteReportsErrorAndTearsPage) {
-  PageId id;
-  ASSERT_TRUE(dm_.AllocatePage(&id).ok());
-  uint8_t new_data[kPageSize];
-  std::memset(new_data, 0xCC, kPageSize);
-  reg_.Arm("disk.write",
-           Failpoint::FailNth(1, FaultKind::kShortWrite, 0.5));
-  EXPECT_EQ(dm_.WritePage(id, new_data).code(), StatusCode::kIoError);
-  uint8_t out[kPageSize];
-  ASSERT_TRUE(dm_.ReadPage(id, out).ok());
-  EXPECT_EQ(out[0], 0xCC);
-  EXPECT_EQ(out[kPageSize - 1], 0x00);  // freshly allocated page was zero
-}
-
-TEST_F(FaultDiskTest, ReadAndSyncFailures) {
-  PageId id;
-  ASSERT_TRUE(dm_.AllocatePage(&id).ok());
-  uint8_t buf[kPageSize] = {};
-  reg_.Arm("disk.read", Failpoint::FailNth(1, FaultKind::kError));
-  reg_.Arm("disk.sync", Failpoint::FailNth(1, FaultKind::kError));
-  EXPECT_EQ(dm_.ReadPage(id, buf).code(), StatusCode::kIoError);
-  EXPECT_TRUE(dm_.ReadPage(id, buf).ok());
-  EXPECT_EQ(dm_.Sync().code(), StatusCode::kIoError);
-  EXPECT_TRUE(dm_.Sync().ok());
-}
-
-/// Tests below arm the process-global registry (the physical failpoints
-/// inside FileDiskManager / FileWalSink / the snapshot writer) and must
-/// leave it clean.
+/// Tests below drive the WAL through FaultInjectingWalSink with a local
+/// registry; the process-global one is reset around each case so a
+/// leak from an earlier test cannot fire inside them.
 class GlobalFaultTest : public testing::Test {
  protected:
   void SetUp() override { FailpointRegistry::Global()->Reset(); }
   void TearDown() override { FailpointRegistry::Global()->Reset(); }
-
-  static std::string TempPath(const char* name) {
-    std::string path = testing::TempDir() + "/" + name;
-    std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
-    std::remove((path + ".wal").c_str());
-    for (int e = 1; e <= 4; ++e)
-      std::remove((path + ".wal." + std::to_string(e)).c_str());
-    return path;
-  }
 };
 
-TEST_F(GlobalFaultTest, PhysicalTornPageWriteCaughtByChecksumOnRead) {
-  std::string path = TempPath("torn_page.db");
-  auto dm = FileDiskManager::Open(path);
-  ASSERT_TRUE(dm.ok());
-  PageId id;
-  ASSERT_TRUE((*dm)->AllocatePage(&id).ok());
-  uint8_t data[kPageSize];
-  std::memset(data, 0x42, kPageSize);
-  // Tear the physical frame write: a prefix (header + some data) lands,
-  // the write reports success — exactly what a power cut leaves.
-  FailpointRegistry::Global()->Arm(
-      "disk.file.write", Failpoint::FailNth(1, FaultKind::kTornWrite, 0.5));
-  EXPECT_TRUE((*dm)->WritePage(id, data).ok());
-  uint8_t out[kPageSize];
-  EXPECT_EQ((*dm)->ReadPage(id, out).code(), StatusCode::kCorruption);
-  // An intact page on the same file still reads fine.
-  EXPECT_TRUE((*dm)->ReadPage(0, out).ok());
-  std::remove(path.c_str());
-}
-
 TEST_F(GlobalFaultTest, TornWalAppendRecoversCommittedPrefix) {
-  MemoryWalSink base;
-  FailpointRegistry reg;
-  FaultInjectingWalSink sink(&base, &reg);
-  WalWriter wal(&sink);
-  auto t1 = wal.Begin();
-  ASSERT_TRUE(t1.ok());
-  ASSERT_TRUE(wal.LogOp(*t1, "keep-me").ok());
-  ASSERT_TRUE(wal.Commit(*t1).ok());
-  // Tear txn 2's commit record silently: begin, op, then a torn commit.
-  reg.Arm("walsink.append",
-          Failpoint::FailNth(3, FaultKind::kTornWrite, 0.4));
-  auto t2 = wal.Begin();
-  ASSERT_TRUE(t2.ok());
-  ASSERT_TRUE(wal.LogOp(*t2, "lost").ok());
-  ASSERT_TRUE(wal.Commit(*t2).ok());  // silent tear under the sync
-  std::vector<std::string> applied;
-  ASSERT_TRUE(WalRecover(base.bytes(), [&](const WalRecord& rec) {
-                applied.push_back(rec.payload);
-                return Status::OK();
-              })
-                  .ok());
-  ASSERT_EQ(applied.size(), 1u);
-  EXPECT_EQ(applied[0], "keep-me");
+  // Txn 2's commit record (its third append) is torn silently, torn
+  // with an error, or refused outright. Recovery replays txn 1 alone.
+  for (FaultKind kind :
+       {FaultKind::kTornWrite, FaultKind::kShortWrite, FaultKind::kError}) {
+    SCOPED_TRACE(FaultKindName(kind));
+    MemoryWalSink base;
+    FailpointRegistry reg;
+    FaultInjectingWalSink sink(&base, &reg);
+    WalWriter wal(&sink);
+    auto t1 = wal.Begin();
+    ASSERT_TRUE(t1.ok());
+    ASSERT_TRUE(wal.LogOp(*t1, "keep-me").ok());
+    ASSERT_TRUE(wal.Commit(*t1).ok());
+    reg.Arm("walsink.append", Failpoint::FailNth(3, kind, 0.4));
+    auto t2 = wal.Begin();
+    ASSERT_TRUE(t2.ok());
+    ASSERT_TRUE(wal.LogOp(*t2, "lost").ok());
+    if (kind == FaultKind::kTornWrite)
+      ASSERT_TRUE(wal.Commit(*t2).ok());  // silent tear under the sync
+    else
+      EXPECT_EQ(wal.Commit(*t2).code(), StatusCode::kIoError);
+    std::vector<std::string> applied;
+    ASSERT_TRUE(WalRecover(base.bytes(), [&](const WalRecord& rec) {
+                  applied.push_back(rec.payload);
+                  return Status::OK();
+                })
+                    .ok());
+    ASSERT_EQ(applied.size(), 1u);
+    EXPECT_EQ(applied[0], "keep-me");
+  }
 }
 
 TEST_F(GlobalFaultTest, WalSinkSyncFailureSurfacesToCommit) {

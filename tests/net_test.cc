@@ -92,9 +92,7 @@ TEST(ProtocolGoldenTest, ExecuteRequestFrame) {
   net::ExecuteRequest req;
   req.script = "retrieve (NOTE.name)";
   req.deadline_ms = 250;
-  // v3+ layout: deadline_ms u32 | trace_id u64 | flags u8 | script
-  // (the header now stamps v4; the ExecuteRequest payload is unchanged
-  // since v3, so only the version byte moved).
+  // Layout: deadline_ms u32 | trace_id u64 | flags u8 | script.
   EXPECT_EQ(Hex(net::EncodeFrame(net::EncodeExecuteRequest(req))),
             "4d444d5004010000220000002b9518f6fa0000000000000000000000"
             "0014726574726965766520284e4f54452e6e616d6529");
@@ -111,9 +109,9 @@ TEST(ProtocolGoldenTest, ExecuteRequestFrameWithTrace) {
             "14726574726965766520284e4f54452e6e616d6529");
 }
 
-// The previous protocol revisions' bytes must keep decoding: a v2
-// client talking to a v4 server sends exactly these (the PR 6 golden).
-TEST(ProtocolGoldenTest, V2ExecuteRequestStillDecodes) {
+// A v2 client's ExecuteRequest (the v2 golden bytes) is refused with a
+// typed INVALID_ARGUMENT: v4 is the only grammar this build speaks.
+TEST(ProtocolGoldenTest, V2ExecuteRequestIsRejected) {
   const char kV2Hex[] =
       "4d444d500201000019000000312b51a4fa000000147265747269657665"
       "20284e4f54452e6e616d6529";
@@ -126,14 +124,11 @@ TEST(ProtocolGoldenTest, V2ExecuteRequestStillDecodes) {
         static_cast<uint8_t>(nibble(kV2Hex[i]) << 4 | nibble(kV2Hex[i + 1])));
   }
   auto frame = net::DecodeFrame(bytes.data(), bytes.size());
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_EQ(frame->version, 2);
-  auto req = net::DecodeExecuteRequest(*frame);
-  ASSERT_TRUE(req.ok()) << req.status().ToString();
-  EXPECT_EQ(req->script, "retrieve (NOTE.name)");
-  EXPECT_EQ(req->deadline_ms, 250u);
-  EXPECT_EQ(req->trace_id, 0u);  // v2 carries no trace context
-  EXPECT_FALSE(req->trace_sampled);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(frame.status().message().find("unsupported protocol version 2"),
+            std::string::npos)
+      << frame.status().ToString();
 }
 
 TEST(ProtocolGoldenTest, ErrorFrame) {
@@ -161,7 +156,7 @@ TEST(ProtocolGoldenTest, ResultPageFrames) {
             "000300000000000000");
 }
 
-// v4 batch frames: the BatchExecuteRequest payload mirrors a v3
+// Batch frames: the BatchExecuteRequest payload mirrors an
 // ExecuteRequest prefix (deadline | trace_id | flags), then varint N
 // and N scripts.
 TEST(ProtocolGoldenTest, BatchExecuteRequestFrame) {
@@ -225,7 +220,8 @@ TEST(ProtocolTest, BatchFrameClaimingV3IsRejected) {
   req.scripts = {"retrieve (NOTE.name)"};
   net::Frame f = net::EncodeBatchExecuteRequest(req);
   f.version = 3;
-  auto decoded = net::DecodeBatchExecuteRequest(f);
+  auto bytes = net::EncodeFrame(f);
+  auto decoded = net::DecodeFrame(bytes.data(), bytes.size());
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
@@ -768,7 +764,7 @@ TEST_F(NetServerTest, StopDrainsCleanly) {
 }
 
 // ---------------------------------------------------------------------
-// v2 error frames carry the retry_after_ms backoff hint.
+// Error frames carry the retry_after_ms backoff hint.
 
 TEST(ProtocolTest, ErrorFrameCarriesRetryAfterHint) {
   Status shed = Unavailable("server overloaded");

@@ -1,10 +1,8 @@
-// Second property-test batch: heap-file model equivalence and executor
-// strategy equivalence (push-down vs naive must agree on every query).
+// Second property-test batch: executor strategy equivalence (push-down
+// vs naive must agree on every query).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
-#include <type_traits>
 
 #include "common/random.h"
 #include "common/strings.h"
@@ -12,98 +10,9 @@
 #include "er/database.h"
 #include "net/connection.h"
 #include "quel/quel.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
-#include "storage/heap_file.h"
 
 namespace mdm {
 namespace {
-
-// ----------------------------------------------------------------------
-// Heap file vs a std::map model, across buffer-pool sizes (eviction
-// pressure is part of the parameter sweep).
-// ----------------------------------------------------------------------
-
-struct HeapParam {
-  uint64_t seed;
-  uint64_t pool_frames;
-  int32_t ops;
-  // Explicit tail field: with no padding, every byte gtest prints into
-  // the case name is defined, so the name is the same in every build.
-  int32_t reserved = 0;
-};
-static_assert(sizeof(HeapParam) == 24 &&
-                  std::has_unique_object_representations_v<HeapParam>,
-              "HeapParam must have no padding");
-
-class HeapFilePropertyTest : public testing::TestWithParam<HeapParam> {};
-
-TEST_P(HeapFilePropertyTest, ModelEquivalenceUnderEviction) {
-  const HeapParam p = GetParam();
-  storage::MemoryDiskManager dm;
-  storage::BufferPool pool(&dm, p.pool_frames);
-  auto first = storage::HeapFile::Create(&pool);
-  ASSERT_TRUE(first.ok());
-  storage::HeapFile hf(&pool, *first);
-
-  std::map<std::string, std::string> model;  // rid-key -> record
-  auto rid_key = [](const storage::Rid& rid) {
-    return StrFormat("%u:%u", rid.page_id, rid.slot);
-  };
-  std::vector<std::pair<storage::Rid, std::string>> live;
-
-  Rng rng(p.seed);
-  for (int op = 0; op < p.ops; ++op) {
-    double roll = rng.NextDouble();
-    if (roll < 0.55) {
-      std::string rec(rng.Range(1, 300),
-                      static_cast<char>('a' + rng.Uniform(26)));
-      auto rid = hf.Append(rec);
-      ASSERT_TRUE(rid.ok());
-      model[rid_key(*rid)] = rec;
-      live.emplace_back(*rid, rec);
-    } else if (roll < 0.75 && !live.empty()) {
-      size_t idx = rng.Uniform(live.size());
-      ASSERT_TRUE(hf.Delete(live[idx].first).ok());
-      model.erase(rid_key(live[idx].first));
-      live.erase(live.begin() + idx);
-    } else if (!live.empty()) {
-      size_t idx = rng.Uniform(live.size());
-      std::string rec(rng.Range(1, 200), 'u');
-      Status s = hf.Update(live[idx].first, rec);
-      if (s.ok()) {
-        model[rid_key(live[idx].first)] = rec;
-        live[idx].second = rec;
-      } else {
-        // In-place update can fail when the page is full; the record
-        // must be unchanged.
-        std::string out;
-        ASSERT_TRUE(hf.Read(live[idx].first, &out).ok());
-        EXPECT_EQ(out, live[idx].second);
-      }
-    }
-  }
-  // Full-scan equivalence.
-  std::map<std::string, std::string> scanned;
-  ASSERT_TRUE(hf.Scan([&](const storage::Rid& rid, std::string_view rec) {
-                  scanned[rid_key(rid)] = std::string(rec);
-                  return true;
-                })
-                  .ok());
-  EXPECT_EQ(scanned, model);
-  // Point reads agree.
-  for (const auto& [rid, expected] : live) {
-    std::string out;
-    ASSERT_TRUE(hf.Read(rid, &out).ok());
-    EXPECT_EQ(out, expected);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, HeapFilePropertyTest,
-    testing::Values(HeapParam{1, 2, 300},     // brutal eviction pressure
-                    HeapParam{7, 8, 1000},
-                    HeapParam{42, 64, 3000}));
 
 // ----------------------------------------------------------------------
 // QUEL: push-down and naive evaluation must produce identical rows for

@@ -15,8 +15,6 @@
 #include "mtime/tempo_map.h"
 #include "sound/sound.h"
 #include "storage/btree.h"
-#include "storage/page.h"
-#include "storage/slotted_page.h"
 
 namespace mdm {
 namespace {
@@ -222,13 +220,13 @@ class BTreeFanoutTest : public testing::TestWithParam<int> {};
 
 TEST_P(BTreeFanoutTest, InvariantsAcrossFanouts) {
   storage::BTree tree(static_cast<size_t>(GetParam()));
-  std::multimap<int64_t, storage::Rid> model;
+  std::multimap<int64_t, uint64_t> model;
   Rng rng(0x5EED);
   for (int i = 0; i < 3000; ++i) {
     int64_t key = rng.Range(-500, 500);
-    storage::Rid rid{static_cast<storage::PageId>(i), 0};
-    tree.Insert(key, rid);
-    model.emplace(key, rid);
+    uint64_t id = static_cast<uint64_t>(i);
+    tree.Insert(key, id);
+    model.emplace(key, id);
     if (i % 512 == 0) {
       ASSERT_TRUE(tree.CheckInvariants().ok());
     }
@@ -241,56 +239,6 @@ TEST_P(BTreeFanoutTest, InvariantsAcrossFanouts) {
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, BTreeFanoutTest,
                          testing::Values(4, 8, 32, 128, 512));
-
-// ----------------------------------------------------------------------
-// Slotted page: random inserts/deletes/updates against a model.
-// ----------------------------------------------------------------------
-
-class SlottedPagePropertyTest : public testing::TestWithParam<uint64_t> {};
-
-TEST_P(SlottedPagePropertyTest, ModelEquivalence) {
-  storage::Page page;
-  storage::SlottedPage sp(&page);
-  sp.Init();
-  std::map<uint16_t, std::string> model;
-  Rng rng(GetParam());
-  for (int op = 0; op < 2000; ++op) {
-    double roll = rng.NextDouble();
-    if (roll < 0.5) {
-      std::string rec(rng.Range(1, 120), static_cast<char>('a' + op % 26));
-      auto slot = sp.Insert(rec);
-      if (slot.ok()) {
-        EXPECT_EQ(model.count(*slot), 0u);
-        model[*slot] = rec;
-      }
-    } else if (roll < 0.75 && !model.empty()) {
-      auto it = model.begin();
-      std::advance(it, rng.Uniform(model.size()));
-      ASSERT_TRUE(sp.Delete(it->first).ok());
-      model.erase(it);
-    } else if (!model.empty()) {
-      auto it = model.begin();
-      std::advance(it, rng.Uniform(model.size()));
-      std::string rec(rng.Range(1, 150), 'z');
-      if (sp.Update(it->first, rec).ok()) it->second = rec;
-    }
-    if (op % 256 == 0) {
-      for (const auto& [slot, expected] : model) {
-        auto got = sp.Get(slot);
-        ASSERT_TRUE(got.ok());
-        EXPECT_EQ(*got, expected);
-      }
-    }
-  }
-  for (const auto& [slot, expected] : model) {
-    auto got = sp.Get(slot);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, expected);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SlottedPagePropertyTest,
-                         testing::Values(1, 17, 23981));
 
 // ----------------------------------------------------------------------
 // Tempo map: beats->seconds->beats round trip across random plans.

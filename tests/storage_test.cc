@@ -1,483 +1,49 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <map>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "storage/btree.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
-#include "storage/heap_file.h"
-#include "storage/page.h"
-#include "storage/slotted_page.h"
 #include "storage/wal.h"
 
 namespace mdm::storage {
 namespace {
 
-TEST(MemoryDiskManagerTest, AllocateReadWrite) {
-  MemoryDiskManager dm;
-  EXPECT_EQ(dm.NumPages(), 1u);  // header page
-  PageId id;
-  ASSERT_TRUE(dm.AllocatePage(&id).ok());
-  EXPECT_EQ(id, 1u);
-  uint8_t out[kPageSize];
-  uint8_t in[kPageSize];
-  for (size_t i = 0; i < kPageSize; ++i) in[i] = static_cast<uint8_t>(i);
-  ASSERT_TRUE(dm.WritePage(id, in).ok());
-  ASSERT_TRUE(dm.ReadPage(id, out).ok());
-  EXPECT_EQ(std::memcmp(in, out, kPageSize), 0);
-}
-
-TEST(MemoryDiskManagerTest, OutOfRangeAccessFails) {
-  MemoryDiskManager dm;
-  uint8_t buf[kPageSize];
-  EXPECT_EQ(dm.ReadPage(99, buf).code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(dm.WritePage(99, buf).code(), StatusCode::kOutOfRange);
-}
-
-TEST(FileDiskManagerTest, PersistsAcrossReopen) {
-  std::string path = testing::TempDir() + "/mdm_disk_test.db";
-  std::remove(path.c_str());
-  PageId id;
-  {
-    auto dm = FileDiskManager::Open(path);
-    ASSERT_TRUE(dm.ok());
-    ASSERT_TRUE((*dm)->AllocatePage(&id).ok());
-    uint8_t in[kPageSize] = {};
-    in[0] = 0x5A;
-    in[kPageSize - 1] = 0xA5;
-    ASSERT_TRUE((*dm)->WritePage(id, in).ok());
-    ASSERT_TRUE((*dm)->Sync().ok());
-  }
-  {
-    auto dm = FileDiskManager::Open(path);
-    ASSERT_TRUE(dm.ok());
-    EXPECT_EQ((*dm)->NumPages(), 2u);
-    uint8_t out[kPageSize];
-    ASSERT_TRUE((*dm)->ReadPage(id, out).ok());
-    EXPECT_EQ(out[0], 0x5A);
-    EXPECT_EQ(out[kPageSize - 1], 0xA5);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FileDiskManagerTest, BitFlippedPageIsCorruption) {
-  std::string path = testing::TempDir() + "/mdm_bitflip_test.db";
-  std::remove(path.c_str());
-  PageId id;
-  {
-    auto dm = FileDiskManager::Open(path);
-    ASSERT_TRUE(dm.ok());
-    ASSERT_TRUE((*dm)->AllocatePage(&id).ok());
-    uint8_t in[kPageSize];
-    std::memset(in, 0x33, kPageSize);
-    ASSERT_TRUE((*dm)->WritePage(id, in).ok());
-    ASSERT_TRUE((*dm)->Sync().ok());
-  }
-  // Flip one data byte of the page while the file is closed.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    long off = static_cast<long>(kSuperblockSize + id * kPageFrameSize +
-                                 kPageFrameHeaderSize + 1234);
-    ASSERT_EQ(std::fseek(f, off, SEEK_SET), 0);
-    std::fputc(0x34, f);
-    std::fclose(f);
-  }
-  {
-    auto dm = FileDiskManager::Open(path);
-    ASSERT_TRUE(dm.ok());
-    uint8_t out[kPageSize];
-    Status s = (*dm)->ReadPage(id, out);
-    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
-    // The undamaged header page still reads cleanly.
-    EXPECT_TRUE((*dm)->ReadPage(0, out).ok());
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FileDiskManagerTest, MisdirectedWriteDetected) {
-  std::string path = testing::TempDir() + "/mdm_misdirect_test.db";
-  std::remove(path.c_str());
-  PageId p1, p2;
-  {
-    auto dm = FileDiskManager::Open(path);
-    ASSERT_TRUE(dm.ok());
-    ASSERT_TRUE((*dm)->AllocatePage(&p1).ok());
-    ASSERT_TRUE((*dm)->AllocatePage(&p2).ok());
-    uint8_t in[kPageSize];
-    std::memset(in, 0x77, kPageSize);
-    ASSERT_TRUE((*dm)->WritePage(p1, in).ok());
-    ASSERT_TRUE((*dm)->Sync().ok());
-  }
-  // Copy page p1's whole frame (valid CRC and all) over p2's slot — the
-  // lost-seek failure mode a bare CRC cannot see.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::vector<uint8_t> frame(kPageFrameSize);
-    ASSERT_EQ(std::fseek(
-                  f, static_cast<long>(kSuperblockSize + p1 * kPageFrameSize),
-                  SEEK_SET),
-              0);
-    ASSERT_EQ(std::fread(frame.data(), 1, frame.size(), f), frame.size());
-    ASSERT_EQ(std::fseek(
-                  f, static_cast<long>(kSuperblockSize + p2 * kPageFrameSize),
-                  SEEK_SET),
-              0);
-    ASSERT_EQ(std::fwrite(frame.data(), 1, frame.size(), f), frame.size());
-    std::fclose(f);
-  }
-  {
-    auto dm = FileDiskManager::Open(path);
-    ASSERT_TRUE(dm.ok());
-    uint8_t out[kPageSize];
-    Status s = (*dm)->ReadPage(p2, out);
-    EXPECT_EQ(s.code(), StatusCode::kCorruption);
-    EXPECT_NE(s.ToString().find("misdirected"), std::string::npos)
-        << s.ToString();
-    EXPECT_TRUE((*dm)->ReadPage(p1, out).ok());
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FileDiskManagerTest, MigratesV1RawPageFile) {
-  std::string path = testing::TempDir() + "/mdm_migrate_test.db";
-  std::remove(path.c_str());
-  // Craft a version-1 file: bare 4096-byte pages, no superblock, no
-  // checksums. Page 0 was the header page; page 1 carries data.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::vector<uint8_t> page(kPageSize, 0);
-    ASSERT_EQ(std::fwrite(page.data(), 1, kPageSize, f), kPageSize);
-    std::memset(page.data(), 0x5C, kPageSize);
-    ASSERT_EQ(std::fwrite(page.data(), 1, kPageSize, f), kPageSize);
-    std::fclose(f);
-  }
-  for (int reopen = 0; reopen < 2; ++reopen) {
-    auto dm = FileDiskManager::Open(path);
-    ASSERT_TRUE(dm.ok()) << "reopen " << reopen << ": "
-                         << dm.status().ToString();
-    EXPECT_EQ((*dm)->NumPages(), 2u);
-    uint8_t out[kPageSize];
-    ASSERT_TRUE((*dm)->ReadPage(1, out).ok());
-    EXPECT_EQ(out[0], 0x5C);
-    EXPECT_EQ(out[kPageSize - 1], 0x5C);
-  }
-  // The file is now in the checksummed v2 format.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char magic[4];
-    ASSERT_EQ(std::fread(magic, 1, 4, f), 4u);
-    EXPECT_EQ(std::memcmp(magic, "MDMP", 4), 0);
-    ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
-    EXPECT_EQ(std::ftell(f),
-              static_cast<long>(kSuperblockSize + 2 * kPageFrameSize));
-    std::fclose(f);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(BufferPoolTest, HitsAndMisses) {
-  MemoryDiskManager dm;
-  PageId p1, p2;
-  ASSERT_TRUE(dm.AllocatePage(&p1).ok());
-  ASSERT_TRUE(dm.AllocatePage(&p2).ok());
-  BufferPool pool(&dm, 4);
-
-  auto page = pool.FetchPage(p1);
-  ASSERT_TRUE(page.ok());
-  ASSERT_TRUE(pool.UnpinPage(p1, false).ok());
-  EXPECT_EQ(pool.stats().misses, 1u);
-
-  page = pool.FetchPage(p1);
-  ASSERT_TRUE(page.ok());
-  ASSERT_TRUE(pool.UnpinPage(p1, false).ok());
-  EXPECT_EQ(pool.stats().hits, 1u);
-}
-
-TEST(BufferPoolTest, EvictsLruAndWritesBackDirty) {
-  MemoryDiskManager dm;
-  BufferPool pool(&dm, 2);
-  // Create 3 pages through a pool of capacity 2.
-  PageId ids[3];
-  for (int i = 0; i < 3; ++i) {
-    auto page = pool.NewPage();
-    ASSERT_TRUE(page.ok());
-    ids[i] = (*page)->id;
-    (*page)->data[0] = static_cast<uint8_t>(0x10 + i);
-    ASSERT_TRUE(pool.UnpinPage(ids[i], true).ok());
-  }
-  EXPECT_GE(pool.stats().evictions, 1u);
-  EXPECT_GE(pool.stats().dirty_writebacks, 1u);
-  // The first page must have been written back; fetch and verify.
-  auto page = pool.FetchPage(ids[0]);
-  ASSERT_TRUE(page.ok());
-  EXPECT_EQ((*page)->data[0], 0x10);
-  ASSERT_TRUE(pool.UnpinPage(ids[0], false).ok());
-}
-
-TEST(BufferPoolTest, AllPinnedFailsGracefully) {
-  MemoryDiskManager dm;
-  BufferPool pool(&dm, 2);
-  auto a = pool.NewPage();
-  auto b = pool.NewPage();
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  auto c = pool.NewPage();
-  EXPECT_FALSE(c.ok());
-  EXPECT_EQ(c.status().code(), StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(pool.UnpinPage((*a)->id, false).ok());
-  ASSERT_TRUE(pool.UnpinPage((*b)->id, false).ok());
-}
-
-TEST(BufferPoolTest, UnpinErrors) {
-  MemoryDiskManager dm;
-  BufferPool pool(&dm, 2);
-  EXPECT_EQ(pool.UnpinPage(123, false).code(), StatusCode::kNotFound);
-  auto a = pool.NewPage();
-  ASSERT_TRUE(a.ok());
-  PageId id = (*a)->id;
-  ASSERT_TRUE(pool.UnpinPage(id, false).ok());
-  EXPECT_EQ(pool.UnpinPage(id, false).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-class SlottedPageTest : public testing::Test {
- protected:
-  SlottedPageTest() : sp_(&page_) { sp_.Init(); }
-  Page page_;
-  SlottedPage sp_;
-};
-
-TEST_F(SlottedPageTest, InsertGetRoundTrip) {
-  auto s1 = sp_.Insert("hello");
-  auto s2 = sp_.Insert("world!");
-  ASSERT_TRUE(s1.ok());
-  ASSERT_TRUE(s2.ok());
-  EXPECT_NE(*s1, *s2);
-  auto r1 = sp_.Get(*s1);
-  auto r2 = sp_.Get(*s2);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(*r1, "hello");
-  EXPECT_EQ(*r2, "world!");
-}
-
-TEST_F(SlottedPageTest, DeleteThenSlotReuse) {
-  auto s1 = sp_.Insert("first");
-  ASSERT_TRUE(s1.ok());
-  ASSERT_TRUE(sp_.Delete(*s1).ok());
-  EXPECT_FALSE(sp_.IsLive(*s1));
-  EXPECT_EQ(sp_.Get(*s1).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(sp_.Delete(*s1).code(), StatusCode::kNotFound);
-  // Next insert reuses the freed slot.
-  auto s2 = sp_.Insert("second");
-  ASSERT_TRUE(s2.ok());
-  EXPECT_EQ(*s2, *s1);
-}
-
-TEST_F(SlottedPageTest, FillsUntilFullThenCompactionRecoversSpace) {
-  std::string rec(100, 'x');
-  std::vector<uint16_t> slots;
-  while (true) {
-    auto s = sp_.Insert(rec);
-    if (!s.ok()) {
-      EXPECT_EQ(s.status().code(), StatusCode::kOutOfRange);
-      break;
-    }
-    slots.push_back(*s);
-  }
-  // 4096-byte page, 104 bytes/record: expect ~39 records.
-  EXPECT_GT(slots.size(), 30u);
-  // Delete every other record, then a larger record must fit via compact.
-  for (size_t i = 0; i < slots.size(); i += 2)
-    ASSERT_TRUE(sp_.Delete(slots[i]).ok());
-  auto big = sp_.Insert(std::string(400, 'y'));
-  ASSERT_TRUE(big.ok());
-  auto got = sp_.Get(*big);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got->size(), 400u);
-  // Survivors are intact after compaction.
-  for (size_t i = 1; i < slots.size(); i += 2) {
-    auto r = sp_.Get(slots[i]);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, rec);
-  }
-}
-
-TEST_F(SlottedPageTest, UpdateShrinkGrowInPlace) {
-  auto s = sp_.Insert("medium length record");
-  ASSERT_TRUE(s.ok());
-  ASSERT_TRUE(sp_.Update(*s, "short").ok());
-  EXPECT_EQ(*sp_.Get(*s), "short");
-  ASSERT_TRUE(sp_.Update(*s, std::string(200, 'z')).ok());
-  EXPECT_EQ(sp_.Get(*s)->size(), 200u);
-}
-
-TEST_F(SlottedPageTest, GrowingUpdateThatCannotFitLeavesRecordIntact) {
-  auto s = sp_.Insert("keep me");
-  ASSERT_TRUE(s.ok());
-  Status st = sp_.Update(*s, std::string(5000, 'q'));
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(*sp_.Get(*s), "keep me");
-}
-
-TEST_F(SlottedPageTest, OversizeRecordRejected) {
-  auto s = sp_.Insert(std::string(kPageSize, 'a'));
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
-}
-
-class HeapFileTest : public testing::Test {
- protected:
-  HeapFileTest() : pool_(&dm_, 16) {}
-  MemoryDiskManager dm_;
-  BufferPool pool_;
-};
-
-TEST_F(HeapFileTest, AppendReadAcrossManyPages) {
-  auto first = HeapFile::Create(&pool_);
-  ASSERT_TRUE(first.ok());
-  HeapFile hf(&pool_, *first);
-  std::vector<Rid> rids;
-  for (int i = 0; i < 500; ++i) {
-    auto rid = hf.Append("record-" + std::to_string(i) +
-                         std::string(50, static_cast<char>('a' + i % 26)));
-    ASSERT_TRUE(rid.ok());
-    rids.push_back(*rid);
-  }
-  // Multiple pages were chained.
-  std::set<PageId> pages;
-  for (const Rid& r : rids) pages.insert(r.page_id);
-  EXPECT_GT(pages.size(), 1u);
-  std::string out;
-  ASSERT_TRUE(hf.Read(rids[0], &out).ok());
-  EXPECT_TRUE(out.rfind("record-0", 0) == 0);
-  ASSERT_TRUE(hf.Read(rids[499], &out).ok());
-  EXPECT_TRUE(out.rfind("record-499", 0) == 0);
-}
-
-TEST_F(HeapFileTest, ScanSeesAllLiveRecordsInOrder) {
-  auto first = HeapFile::Create(&pool_);
-  ASSERT_TRUE(first.ok());
-  HeapFile hf(&pool_, *first);
-  std::vector<Rid> rids;
-  for (int i = 0; i < 100; ++i) {
-    auto rid = hf.Append("r" + std::to_string(i));
-    ASSERT_TRUE(rid.ok());
-    rids.push_back(*rid);
-  }
-  ASSERT_TRUE(hf.Delete(rids[10]).ok());
-  ASSERT_TRUE(hf.Delete(rids[50]).ok());
-  int count = 0;
-  ASSERT_TRUE(hf.Scan([&](const Rid&, std::string_view) {
-                  ++count;
-                  return true;
-                })
-                  .ok());
-  EXPECT_EQ(count, 98);
-  auto total = hf.Count();
-  ASSERT_TRUE(total.ok());
-  EXPECT_EQ(*total, 98u);
-}
-
-TEST_F(HeapFileTest, ScanEarlyStop) {
-  auto first = HeapFile::Create(&pool_);
-  ASSERT_TRUE(first.ok());
-  HeapFile hf(&pool_, *first);
-  for (int i = 0; i < 20; ++i) ASSERT_TRUE(hf.Append("x").ok());
-  int seen = 0;
-  ASSERT_TRUE(hf.Scan([&](const Rid&, std::string_view) {
-                  return ++seen < 5;
-                })
-                  .ok());
-  EXPECT_EQ(seen, 5);
-}
-
-TEST_F(HeapFileTest, UpdateInPlace) {
-  auto first = HeapFile::Create(&pool_);
-  ASSERT_TRUE(first.ok());
-  HeapFile hf(&pool_, *first);
-  auto rid = hf.Append("before");
-  ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(hf.Update(*rid, "after!").ok());
-  std::string out;
-  ASSERT_TRUE(hf.Read(*rid, &out).ok());
-  EXPECT_EQ(out, "after!");
-}
-
-TEST_F(HeapFileTest, ReadDeletedRecordFails) {
-  auto first = HeapFile::Create(&pool_);
-  ASSERT_TRUE(first.ok());
-  HeapFile hf(&pool_, *first);
-  auto rid = hf.Append("gone");
-  ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(hf.Delete(*rid).ok());
-  std::string out;
-  EXPECT_EQ(hf.Read(*rid, &out).code(), StatusCode::kNotFound);
-}
-
-TEST_F(HeapFileTest, TwoFilesDoNotInterfere) {
-  auto f1 = HeapFile::Create(&pool_);
-  auto f2 = HeapFile::Create(&pool_);
-  ASSERT_TRUE(f1.ok());
-  ASSERT_TRUE(f2.ok());
-  HeapFile a(&pool_, *f1), b(&pool_, *f2);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(a.Append("a" + std::to_string(i)).ok());
-    ASSERT_TRUE(b.Append("b" + std::to_string(i)).ok());
-  }
-  auto ca = a.Count();
-  auto cb = b.Count();
-  ASSERT_TRUE(ca.ok());
-  ASSERT_TRUE(cb.ok());
-  EXPECT_EQ(*ca, 200u);
-  EXPECT_EQ(*cb, 200u);
-  int b_records_in_a = 0;
-  ASSERT_TRUE(a.Scan([&](const Rid&, std::string_view rec) {
-                  if (!rec.empty() && rec[0] == 'b') ++b_records_in_a;
-                  return true;
-                })
-                  .ok());
-  EXPECT_EQ(b_records_in_a, 0);
-}
-
 TEST(BTreeTest, InsertFindSmall) {
   BTree tree(4);
-  tree.Insert(5, Rid{1, 0});
-  tree.Insert(3, Rid{1, 1});
-  tree.Insert(8, Rid{1, 2});
+  tree.Insert(5, 100);
+  tree.Insert(3, 101);
+  tree.Insert(8, 102);
   EXPECT_EQ(tree.size(), 3u);
   auto hits = tree.Find(3);
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], (Rid{1, 1}));
-  EXPECT_TRUE(tree.Contains(8));
-  EXPECT_FALSE(tree.Contains(7));
+  EXPECT_EQ(hits[0], 101u);
+  EXPECT_EQ(tree.Find(8).size(), 1u);
+  EXPECT_TRUE(tree.Find(7).empty());
   ASSERT_TRUE(tree.CheckInvariants().ok());
 }
 
 TEST(BTreeTest, SplitsGrowHeight) {
   BTree tree(4);
-  for (int64_t i = 0; i < 100; ++i) tree.Insert(i, Rid{0, static_cast<uint16_t>(i)});
+  for (int64_t i = 0; i < 100; ++i) tree.Insert(i, static_cast<uint64_t>(i));
   EXPECT_GT(tree.Height(), 1);
   ASSERT_TRUE(tree.CheckInvariants().ok());
-  for (int64_t i = 0; i < 100; ++i) EXPECT_TRUE(tree.Contains(i));
+  for (int64_t i = 0; i < 100; ++i)
+    EXPECT_EQ(tree.Find(i), std::vector<uint64_t>{static_cast<uint64_t>(i)});
 }
 
 TEST(BTreeTest, DuplicateKeys) {
   BTree tree(4);
-  for (uint16_t s = 0; s < 10; ++s) tree.Insert(42, Rid{1, s});
+  for (uint64_t id = 10; id > 0; --id) tree.Insert(42, id);
   auto hits = tree.Find(42);
   EXPECT_EQ(hits.size(), 10u);
+  EXPECT_TRUE(std::is_sorted(hits.begin(), hits.end()));  // id order
   // Erase a specific duplicate.
-  EXPECT_TRUE(tree.Erase(42, Rid{1, 4}));
-  EXPECT_FALSE(tree.Erase(42, Rid{1, 4}));
+  EXPECT_TRUE(tree.Erase(42, 5));
+  EXPECT_FALSE(tree.Erase(42, 5));
   hits = tree.Find(42);
   EXPECT_EQ(hits.size(), 9u);
   ASSERT_TRUE(tree.CheckInvariants().ok());
@@ -486,16 +52,22 @@ TEST(BTreeTest, DuplicateKeys) {
 TEST(BTreeTest, RangeScanOrderedAndBounded) {
   BTree tree(8);
   for (int64_t i = 100; i >= 0; --i)
-    tree.Insert(i * 2, Rid{0, static_cast<uint16_t>(i)});  // even keys 0..200
+    tree.Insert(i * 2, static_cast<uint64_t>(i));  // even keys 0..200
+  // A range scan is a full scan that skips below `lo` and stops past
+  // `hi`; the early stop must end the walk.
   std::vector<int64_t> keys;
-  tree.ScanRange(10, 30, [&](int64_t k, const Rid&) {
-    keys.push_back(k);
+  int visited = 0;
+  tree.ScanAll([&](int64_t k, uint64_t) {
+    ++visited;
+    if (k > 30) return false;
+    if (k >= 10) keys.push_back(k);
     return true;
   });
   ASSERT_EQ(keys.size(), 11u);  // 10,12,...,30
   EXPECT_EQ(keys.front(), 10);
   EXPECT_EQ(keys.back(), 30);
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+  EXPECT_EQ(visited, 17);  // 0..30, then 32 stops it
 }
 
 TEST(BTreeTest, PropertyAgainstMultimap) {
@@ -503,7 +75,7 @@ TEST(BTreeTest, PropertyAgainstMultimap) {
   // multimap under mixed inserts and erases.
   Rng rng(2026);
   BTree tree(6);
-  std::multimap<int64_t, Rid> model;
+  std::multimap<int64_t, uint64_t> model;
   for (int step = 0; step < 5000; ++step) {
     int64_t key = rng.Range(0, 200);
     if (rng.Bernoulli(0.3) && !model.empty()) {
@@ -514,10 +86,9 @@ TEST(BTreeTest, PropertyAgainstMultimap) {
       EXPECT_TRUE(tree_erased);
       model.erase(it);
     } else {
-      Rid rid{static_cast<PageId>(step / 65536),
-              static_cast<uint16_t>(step % 65536)};
-      tree.Insert(key, rid);
-      model.emplace(key, rid);
+      uint64_t id = static_cast<uint64_t>(step);
+      tree.Insert(key, id);
+      model.emplace(key, id);
     }
   }
   EXPECT_EQ(tree.size(), model.size());
@@ -526,14 +97,16 @@ TEST(BTreeTest, PropertyAgainstMultimap) {
   for (int64_t k = 0; k <= 200; ++k) {
     EXPECT_EQ(tree.Find(k).size(), model.count(k)) << "key " << k;
   }
-  // Full scan matches the model ordering.
-  std::vector<int64_t> scanned;
-  tree.ScanAll([&](int64_t k, const Rid&) {
-    scanned.push_back(k);
+  // Full scan matches the model ordering: by key, then by id (ids are
+  // inserted in increasing order, which is the model's order within a
+  // key).
+  std::vector<std::pair<int64_t, uint64_t>> scanned;
+  tree.ScanAll([&](int64_t k, uint64_t id) {
+    scanned.emplace_back(k, id);
     return true;
   });
-  std::vector<int64_t> expected;
-  for (const auto& [k, v] : model) expected.push_back(k);
+  std::vector<std::pair<int64_t, uint64_t>> expected(model.begin(),
+                                                     model.end());
   EXPECT_EQ(scanned, expected);
 }
 

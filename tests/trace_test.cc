@@ -1,6 +1,6 @@
-// End-to-end request tracing (PR 8): trace-event JSON rendering, the
-// trace ring, trace-id propagation over wire protocol v3 (including a
-// v2 client against a v3 server), the admin endpoint's routes, and the
+// End-to-end request tracing: trace-event JSON rendering, the trace
+// ring, trace-id propagation over the wire protocol (and the refusal
+// of pre-v4 frames), the admin endpoint's routes, and the
 // structured slow-query log. Uses real loopback sockets like net_test;
 // runs under the tsan preset via the `trace` label.
 #include <gtest/gtest.h>
@@ -334,23 +334,40 @@ TEST_F(TraceServerTest, UnsampledRequestsLeaveNoTrace) {
   EXPECT_EQ(obs::TraceRing::Global()->size(), 0u);
 }
 
-TEST_F(TraceServerTest, V2ClientAgainstV3ServerGetsV2Replies) {
+TEST_F(TraceServerTest, V2AndV3FramesAreRejectedAndTheConnectionKeepsServing) {
   StartServer();
   auto t = net::DialTcpTransport("127.0.0.1", server_->port(), 2'000);
   ASSERT_TRUE(t.ok()) << t.status().ToString();
-
-  // Hand-build the v2 ExecuteRequest payload: u32 deadline_ms + varint
-  // script length + script (no trace fields — exactly what a PR 6
-  // client sends).
-  net::Frame req;
-  req.type = net::FrameType::kExecuteRequest;
-  req.version = 2;
   const std::string script = "retrieve (NOTE.name)";
-  req.payload = {0, 0, 0, 0};  // deadline_ms = 0: server default
-  req.payload.push_back(static_cast<uint8_t>(script.size()));
-  req.payload.insert(req.payload.end(), script.begin(), script.end());
-  ASSERT_TRUE(net::WriteFrame(t->get(), req).ok());
 
+  // What a v2 client sends (u32 deadline_ms + script, no trace fields)
+  // and what a v3 client sends (the v4 ExecuteRequest payload): both
+  // get a typed INVALID_ARGUMENT back on the same, still-open link.
+  net::Frame v2;
+  v2.type = net::FrameType::kExecuteRequest;
+  v2.version = 2;
+  v2.payload = {0, 0, 0, 0};  // deadline_ms = 0: server default
+  v2.payload.push_back(static_cast<uint8_t>(script.size()));
+  v2.payload.insert(v2.payload.end(), script.begin(), script.end());
+  net::Frame v3 = net::EncodeExecuteRequest({script, 0});
+  v3.version = 3;
+  for (const net::Frame& old : {v2, v3}) {
+    ASSERT_TRUE(net::WriteFrame(t->get(), old).ok());
+    bool fatal = false;
+    auto reply = net::ReadFrame(t->get(), net::kDefaultMaxFrameBytes,
+                                &fatal);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->type, net::FrameType::kError);
+    EXPECT_EQ(reply->version, net::kProtocolVersion);
+    Status remote;
+    ASSERT_TRUE(net::DecodeErrorFrame(*reply, &remote).ok());
+    EXPECT_EQ(remote.code(), StatusCode::kInvalidArgument)
+        << remote.ToString();
+  }
+
+  // The same connection then serves a current request.
+  ASSERT_TRUE(
+      net::WriteFrame(t->get(), net::EncodeExecuteRequest({script, 0})).ok());
   quel::ResultSet rs;
   bool done = false;
   while (!done) {
@@ -359,9 +376,6 @@ TEST_F(TraceServerTest, V2ClientAgainstV3ServerGetsV2Replies) {
                                 &fatal);
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     ASSERT_EQ(reply->type, net::FrameType::kResultPage);
-    // The server mirrors the request's version so the old client's
-    // decoder never sees a version it does not know.
-    EXPECT_EQ(reply->version, 2);
     ASSERT_TRUE(net::DecodeResultPage(*reply, &rs, &done).ok());
   }
   EXPECT_EQ(rs.rows.size(), 40u);
