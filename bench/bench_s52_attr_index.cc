@@ -31,7 +31,8 @@ using mdm::rel::Value;
 // note name (thematic catalog) and the chord reference (is-join).
 // NOTE.serial is deliberately left unindexed (footnote 3's wrong key);
 // it is unique per note, like the name, so both selections return one
-// row.
+// row. The writes are published before it returns, so timed reads take
+// the pinned-snapshot path a server session takes.
 Database MakeIndexedChordDb(int n_chords, int notes_per_chord) {
   Database db;
   auto ddl = mdm::ddl::ExecuteDdl(R"(
@@ -54,6 +55,7 @@ Database MakeIndexedChordDb(int n_chords, int notes_per_chord) {
       (void)db.SetAttribute(note, "chord", Value::Ref(chord));
     }
   }
+  db.PublishSnapshot();
   return db;
 }
 
@@ -180,7 +182,8 @@ double WrongKeyNs(int notes, int iters) {
 // The acceptance comparison at 10^4 entries, one JSON object so runs
 // can be diffed: indexed vs EnableAttrIndex(false) for the catalog
 // lookup and the is-join, the wrong-key scan at 10^3 and 10^4 entries,
-// plus the registry's index counters.
+// plus the registry's index counters. Aborts if any timed statement fell
+// back to the shared latch instead of reading a pinned snapshot.
 void EmitAcceptanceJson() {
   constexpr int kIters = 200;
   MetricsSection metrics;
@@ -226,6 +229,14 @@ void EmitAcceptanceJson() {
       lookup_idx, lookup_scan, lookup_scan / lookup_idx, join_idx, join_scan,
       join_scan / join_idx, wrong_1k, wrong_10k, wrong_10k / wrong_1k,
       wrong_10k / lookup_scan, metrics.DeltaJson().c_str());
+  const uint64_t fallbacks =
+      metrics.Delta("mdm_er_snapshot_pin_fallbacks_total");
+  if (fallbacks != 0) {
+    std::fprintf(stderr,
+                 "%llu timed statements fell back to the shared latch\n",
+                 (unsigned long long)fallbacks);
+    std::abort();
+  }
   std::printf("acceptance (>=100x at 10^4 entries): lookup %.1fx, "
               "is-join %.1fx\n",
               lookup_scan / lookup_idx, join_scan / join_idx);

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -249,6 +251,87 @@ std::string OrderingAccessRow(bool smoke) {
          std::to_string(kPerStaff) + ", \"cases\": [" + cases + "]}";
 }
 
+// The direct-API floor of the fig-1 shapes A3, A4 and T1: the same
+// answer computed without the query language, by the calls the plan
+// makes — pin the published snapshot, probe STAFF(number) and re-check
+// the candidate, walk the staff's note_on_staff subtree, fetch the
+// notes' records in batches (Database::FindEntities) and read the
+// attributes by slot. What QUEL costs above this is the layer's own
+// per-row and per-statement work.
+class DirectShapes {
+ public:
+  explicit DirectShapes(const Database* db) : db_(db) {
+    const mdm::er::ErSchema& schema = db->schema();
+    for (size_t i = 0; i < schema.entity_types().size(); ++i)
+      if (schema.entity_types()[i].name == "NOTE")
+        note_type_ = static_cast<uint32_t>(i);
+    const mdm::er::EntityTypeDef* note = schema.FindEntityType("NOTE");
+    midi_key_ = *note->AttributeIndex("midi_key");
+    degree_ = *note->AttributeIndex("degree");
+    number_ = *schema.FindEntityType("STAFF")->AttributeIndex("number");
+    h_ = *db->ResolveOrderingHandle("note_on_staff");
+    staff_number_ = db->FindAttrIndex("STAFF", "number");
+    if (staff_number_ == nullptr) std::abort();
+  }
+
+  /// Runs `shape` ("A3", "A4" or "T1") on staff 2; returns its row count.
+  size_t Run(const std::string& shape) const {
+    mdm::er::SnapshotReadScope scope(db_, db_->TryPinSnapshot());
+    const mdm::rel::Value two = mdm::rel::Value::Int(2);
+    size_t out = 0;
+    for (mdm::er::EntityId staff : db_->IndexLookup(*staff_number_, two)) {
+      const mdm::er::EntityRecord* rec = nullptr;
+      db_->FindEntities(&staff, 1, &rec);
+      if (rec == nullptr || !rec->attrs()[number_].Equals(two)) continue;
+      std::vector<mdm::er::EntityId> ids;
+      (void)db_->ForEachInOrderingSlice(
+          h_, mdm::er::OrderingSlice::kDescendants, staff, note_type_,
+          [&](mdm::er::EntityId id) {
+            ids.push_back(id);
+            return true;
+          });
+      out += Rows(shape, ids);
+    }
+    return out;
+  }
+
+ private:
+  size_t Rows(const std::string& shape,
+              const std::vector<mdm::er::EntityId>& ids) const {
+    constexpr size_t kBatch = 16;
+    const mdm::er::EntityRecord* recs[kBatch];
+    std::map<int64_t, int64_t> by_degree;             // A3
+    const mdm::rel::Value* lo = nullptr;              // A4
+    const mdm::rel::Value* hi = nullptr;
+    std::vector<std::vector<mdm::rel::Value>> rows;   // T1
+    for (size_t base = 0; base < ids.size(); base += kBatch) {
+      const size_t n = std::min(kBatch, ids.size() - base);
+      db_->FindEntities(ids.data() + base, n, recs);
+      for (size_t i = 0; i < n; ++i) {
+        std::span<const mdm::rel::Value> attrs = recs[i]->attrs();
+        if (shape == "A3") {
+          ++by_degree[attrs[degree_].AsInt()];
+        } else if (shape == "A4") {
+          const mdm::rel::Value& key = attrs[midi_key_];
+          if (lo == nullptr || key.TryCompare(*lo) < 0) lo = &key;
+          if (hi == nullptr || key.TryCompare(*hi) > 0) hi = &key;
+        } else {
+          rows.push_back({attrs[midi_key_], attrs[degree_]});
+        }
+      }
+    }
+    if (shape == "A3") return by_degree.size();
+    if (shape == "A4") return lo != nullptr ? 1 : 0;
+    return rows.size();
+  }
+
+  const Database* db_;
+  uint32_t note_type_ = 0;
+  size_t midi_key_ = 0, degree_ = 0, number_ = 0;
+  mdm::er::OrderingHandle h_;
+  const mdm::er::AttrIndex* staff_number_ = nullptr;
+};
+
 // The per-row cost of the fig-1 shapes that read attributes of every
 // note they enumerate (A1 reads one per n2 row, A3 groups by one, A4
 // aggregates one, T1 emits two): p50 latency divided by the bindings
@@ -256,33 +339,56 @@ std::string OrderingAccessRow(bool smoke) {
 // (smoke: 1200 and 10^4) of kPerStaff notes per staff. The slice that
 // finds the notes is flat in the corpus size, so a flat ns_per_row
 // means reading a row costs the same at any size.
+//
+// For A3, A4 and T1 each iteration also times the direct-API floor
+// (DirectShapes) right after the statement, so both see the same cache
+// and host state: `ratio_to_floor` is the statement's p50 over the
+// floor's, a per-row layer cost that host speed and noise largely
+// cancel out of, where ns_per_row moves with both.
 std::string NsPerRowRow(bool smoke) {
-  const int iters = smoke ? 5 : 51;
+  const int iters = smoke ? 5 : 101;
   std::string cases;
   for (int staves : StaffCounts(smoke)) {
     const int notes = staves * kPerStaff;
     Database db = MakeStaffDb(staves, kPerStaff);
+    const DirectShapes direct(&db);
     for (const auto& [shape, query] :
          {std::pair<const char*, const char*>{"A1", kA1Query.c_str()},
           std::pair<const char*, const char*>{"A3", kA3Query},
           std::pair<const char*, const char*>{"A4", kA4Query},
           std::pair<const char*, const char*>{"T1", kT1Query}}) {
       mdm::quel::QuelSession session(&db);
+      const bool floored = std::string(shape) != "A1";
+      size_t want_rows = 0;
       auto run = [&, query = query] {
-        benchmark::DoNotOptimize(session.Execute(query)->size());
+        want_rows = session.Execute(query)->size();
+      };
+      auto run_direct = [&, shape = shape] {
+        if (direct.Run(shape) != want_rows) std::abort();
       };
       run();  // warm the parse cache
+      if (floored) run_direct();
       session.ResetStats();
-      std::vector<double> us;
-      for (int i = 0; i < iters; ++i) us.push_back(UsOf(run));
+      std::vector<double> us, floor_us;
+      for (int i = 0; i < iters; ++i) {
+        us.push_back(UsOf(run));
+        if (floored) floor_us.push_back(UsOf(run_direct));
+      }
       const double rows =
           static_cast<double>(session.stats().rows_scanned) / iters;
       const double p50 = Quantile(&us, 0.5);
       if (!cases.empty()) cases += ", ";
       cases += mdm::StrFormat(
           "{\"shape\": \"%s\", \"notes\": %d, \"rows\": %.0f, "
-          "\"p50_us\": %.1f, \"ns_per_row\": %.1f}",
+          "\"p50_us\": %.1f, \"ns_per_row\": %.1f",
           shape, notes, rows, p50, p50 * 1000.0 / rows);
+      if (floored) {
+        const double floor_p50 = Quantile(&floor_us, 0.5);
+        cases += mdm::StrFormat(
+            ", \"direct_api_p50_us\": %.1f, \"ratio_to_floor\": %.2f",
+            floor_p50, p50 / floor_p50);
+      }
+      cases += "}";
     }
   }
   return "{\"op\": \"ns_per_row\", \"per_staff\": " +

@@ -101,6 +101,16 @@ class MetricsSection {
     return out;
   }
 
+  /// The change in one series since construction (0 if absent).
+  uint64_t Delta(const std::string& name) const {
+    std::map<std::string, uint64_t> after =
+        obs::Registry::Global()->CounterValues();
+    auto a = after.find(name);
+    auto b = before_.find(name);
+    return (a == after.end() ? 0 : a->second) -
+           (b == before_.end() ? 0 : b->second);
+  }
+
   /// `delta_json` plus a leading comma when non-empty, so callers can
   /// splice it after existing BENCH_JSON members unconditionally.
   std::string DeltaJsonSuffix() const {

@@ -8,8 +8,10 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -27,20 +29,82 @@ namespace mdm::er {
 using RelInstanceId = uint64_t;
 
 /// One stored entity instance: its type and one value per declared
-/// attribute (null until set). `gen` is the copy-on-write stamp: a
-/// record whose gen equals the database's current publish generation
-/// was created (or already cloned) since the last snapshot publish and
-/// may be mutated in place; anything older is shared with published
-/// snapshots and must be cloned first (see MutableEntity).
-struct EntityRecord {
+/// attribute (null until set), in ONE allocation — a 32-byte header
+/// followed by the attribute values inline, so reading an attribute of
+/// a record found in the entity map is one more load, not two. Records
+/// are intrusively refcounted and held through RecordRef: the entity
+/// map's leaf slots hold the 8-byte pointer itself.
+///
+/// `gen` is the copy-on-write stamp: a record whose gen equals the
+/// database's current publish generation was created (or already
+/// cloned) since the last snapshot publish and may be mutated in place;
+/// anything older is shared with published snapshots and must be
+/// cloned first (see Database::MutableEntity).
+class EntityRecord {
+ public:
+  EntityRecord(const EntityRecord&) = delete;
+  EntityRecord& operator=(const EntityRecord&) = delete;
+
   EntityId id = kInvalidEntityId;
   uint32_t type_index = 0;  // into ErSchema::entity_types()
-  std::vector<rel::Value> attrs;
   uint64_t gen = 0;
+
+  /// Attribute j is attribute j of the type's definition.
+  std::span<rel::Value> attrs() { return {Values(), size_}; }
+  std::span<const rel::Value> attrs() const { return {Values(), size_}; }
+
+ private:
+  friend class RecordRef;
+  EntityRecord(EntityId i, uint32_t t, uint64_t g, uint32_t n)
+      : id(i), type_index(t), gen(g), size_(n) {}
+  rel::Value* Values() const {
+    return std::launder(reinterpret_cast<rel::Value*>(
+        const_cast<EntityRecord*>(this) + 1));
+  }
+
+  std::atomic<uint32_t> refs_{1};
+  uint32_t size_;  // attribute count
 };
 
+/// The owning handle of an EntityRecord: copying it shares the record
+/// (one atomic increment); the last handle frees it.
+class RecordRef {
+ public:
+  RecordRef() = default;
+  /// A fresh record of `n` null attributes.
+  static RecordRef Make(EntityId id, uint32_t type_index, uint64_t gen,
+                        uint32_t n);
+  /// A copy of `rec` (attribute values shared) stamped `gen`.
+  static RecordRef Clone(const EntityRecord& rec, uint64_t gen);
+
+  RecordRef(const RecordRef& o) noexcept : p_(o.p_) {
+    if (p_ != nullptr) p_->refs_.fetch_add(1, std::memory_order_relaxed);
+  }
+  RecordRef(RecordRef&& o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+  RecordRef& operator=(RecordRef o) noexcept {
+    std::swap(p_, o.p_);
+    return *this;
+  }
+  ~RecordRef() { Release(p_); }
+
+  EntityRecord* get() const { return p_; }
+  EntityRecord* operator->() const { return p_; }
+  EntityRecord& operator*() const { return *p_; }
+
+ private:
+  explicit RecordRef(EntityRecord* p) : p_(p) {}
+  static void Release(EntityRecord* p) noexcept;
+
+  EntityRecord* p_ = nullptr;
+};
+
+static_assert(sizeof(EntityRecord) == 32 &&
+                  sizeof(EntityRecord) % alignof(rel::Value) == 0,
+              "attribute values follow the header, aligned");
+static_assert(sizeof(RecordRef) == 8, "a map slot holds the bare pointer");
+
 /// One stored relationship instance ("m to n"): an entity per role plus
-/// relationship attributes. Copy-on-write like EntityRecord.
+/// relationship attributes. Copy-on-write via `gen`, like EntityRecord.
 struct RelationshipInstance {
   RelInstanceId id = 0;
   uint32_t rel_index = 0;  // into ErSchema::relationships()
@@ -167,7 +231,7 @@ struct SchemaState {
 /// Tables you did not build.
 struct Tables {
   std::shared_ptr<SchemaState> schema = std::make_shared<SchemaState>();
-  PMap<EntityId, std::shared_ptr<EntityRecord>> entities;
+  PMap<EntityId, RecordRef> entities;
   std::shared_ptr<TypeMap> by_type = std::make_shared<TypeMap>();
   PMap<RelInstanceId, std::shared_ptr<RelationshipInstance>> rels;
   std::shared_ptr<RelNameMap> rels_by_name = std::make_shared<RelNameMap>();
@@ -255,8 +319,9 @@ class Database {
   /// The stored records of `n` entities in the tables this thread
   /// reads (the pinned snapshot under a SnapshotReadScope): out[i] is
   /// the record of ids[i], or nullptr. Attribute j of a record is
-  /// attribute j of its type's definition. Each record and its
-  /// attribute array are prefetched, a batch at a time. Records
+  /// attribute j of its type's definition. Each record (attributes
+  /// included: they are inline) is prefetched as soon as its lookup
+  /// returns, so the misses of one call overlap. Records
   /// stay valid while those tables are unchanged: one read statement,
   /// or the enumeration of a mutating one (the QUEL executor fetches
   /// each bound row's record once and reads its attributes by slot).

@@ -132,7 +132,7 @@ class Evaluator {
         *scratch = Value::Ref(frame_[e.slot].id);
         return scratch;
       case CompiledExpr::Kind::kAttr:
-        return &frame_[e.slot].entity->attrs[e.index];
+        return &frame_[e.slot].entity->attrs()[e.index];
       case CompiledExpr::Kind::kRole:
         *scratch = Value::Ref(frame_[e.slot].rel->role_refs[e.index]);
         return scratch;

@@ -1,6 +1,7 @@
 #include "rel/value.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/strings.h"
 
@@ -37,8 +38,32 @@ bool ParseValueType(const std::string& name, ValueType* out) {
   return true;
 }
 
-ValueType Value::type() const {
-  return static_cast<ValueType>(v_.index());
+Value Value::String(std::string s) {
+  Value v(ValueType::kString);
+  v.boxed_ = true;
+  v.box_ = new StringBox(std::move(s));
+  return v;
+}
+
+Value Value::Rat(const Rational& r) {
+  Value v(ValueType::kRational);
+  // Normalized, so den > 0; both halves must survive the narrowing.
+  if (r.num() >= INT32_MIN && r.num() <= INT32_MAX && r.den() <= INT32_MAX) {
+    v.q_ = SmallRational{static_cast<int32_t>(r.num()),
+                         static_cast<int32_t>(r.den())};
+  } else {
+    v.boxed_ = true;
+    v.box_ = new RationalBox(r);
+  }
+  return v;
+}
+
+void Value::Release() noexcept {
+  if (box_->refs.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  if (type_ == ValueType::kString)
+    delete static_cast<StringBox*>(box_);
+  else
+    delete static_cast<RationalBox*>(box_);
 }
 
 std::string Value::ToString() const {
@@ -105,9 +130,16 @@ std::optional<int> Value::TryCompare(const Value& other) const {
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
     case ValueType::kRational: {
-      if (AsRational() < other.AsRational()) return -1;
-      if (other.AsRational() < AsRational()) return 1;
-      return 0;
+      if (!boxed_ && !other.boxed_) {
+        // Both halves fit in 32 bits, so the cross products are exact.
+        const int64_t a = int64_t{q_.num} * other.q_.den;
+        const int64_t b = int64_t{other.q_.num} * q_.den;
+        return a < b ? -1 : (a > b ? 1 : 0);
+      }
+      const Rational a = AsRational();
+      const Rational b = other.AsRational();
+      if (a < b) return -1;
+      return b < a ? 1 : 0;
     }
     case ValueType::kRef: {
       if (AsRef() < other.AsRef()) return -1;
@@ -133,7 +165,22 @@ bool Value::Equals(const Value& other) const {
     Result<int> c = Compare(other);
     return c.ok() && *c == 0;
   }
-  return v_ == other.v_;
+  switch (type_) {
+    case ValueType::kNull: return true;
+    case ValueType::kBool: return b_ == other.b_;
+    case ValueType::kInt: return i_ == other.i_;
+    case ValueType::kFloat: return d_ == other.d_;
+    case ValueType::kString:
+      return box_ == other.box_ || AsString() == other.AsString();
+    case ValueType::kRational:
+      // One representation per value: an inline and a boxed rational
+      // are never equal.
+      if (boxed_ != other.boxed_) return false;
+      if (!boxed_) return q_.num == other.q_.num && q_.den == other.q_.den;
+      return AsRational() == other.AsRational();
+    case ValueType::kRef: return bits_ == other.bits_;
+  }
+  return false;
 }
 
 void Value::Encode(ByteWriter* w) const {
@@ -144,10 +191,12 @@ void Value::Encode(ByteWriter* w) const {
     case ValueType::kInt: w->PutI64(AsInt()); break;
     case ValueType::kFloat: w->PutF64(AsFloat()); break;
     case ValueType::kString: w->PutString(AsString()); break;
-    case ValueType::kRational:
-      w->PutI64(AsRational().num());
-      w->PutI64(AsRational().den());
+    case ValueType::kRational: {
+      const Rational r = AsRational();
+      w->PutI64(r.num());
+      w->PutI64(r.den());
       break;
+    }
     case ValueType::kRef: w->PutU64(AsRef()); break;
   }
 }
