@@ -233,7 +233,7 @@ std::string OrderingAccessRow(bool smoke) {
                           : session.Execute(query);
           benchmark::DoNotOptimize(rs->size());
         };
-        run();  // warm the parse cache
+        run();  // warm the plan cache
         session.ResetStats();
         const int n = naive ? naive_iters : iters;
         std::vector<double> us;
@@ -366,7 +366,7 @@ std::string NsPerRowRow(bool smoke) {
       auto run_direct = [&, shape = shape] {
         if (direct.Run(shape) != want_rows) std::abort();
       };
-      run();  // warm the parse cache
+      run();  // warm the plan cache
       if (floored) run_direct();
       session.ResetStats();
       std::vector<double> us, floor_us;

@@ -36,6 +36,30 @@ struct Token {
   size_t line = 1;    // 1-based, for error messages
 };
 
+/// Incremental tokenizer: yields one token per Next call without
+/// building a token vector. Lex is a loop over it, and so is the QUEL
+/// script-shape scan (quel/quel.h ScanScriptShape), which is how a
+/// literal is recognized and converted the same way on both paths.
+class Scanner {
+ public:
+  explicit Scanner(const std::string& text) : text_(text) {}
+
+  /// Scans the next token into `*tok` (kEnd at the end of input). On
+  /// return, [token_begin(), token_end()) is the token's source span.
+  /// A character no token starts with, or an unterminated string, is a
+  /// ParseError.
+  Status Next(Token* tok);
+
+  size_t token_begin() const { return begin_; }
+  size_t token_end() const { return pos_; }
+
+ private:
+  const std::string& text_;
+  size_t pos_ = 0;
+  size_t begin_ = 0;
+  size_t line_ = 1;
+};
+
 /// Tokenizes DDL/QUEL text. Comments run from `--` to end of line.
 /// Identifiers are [A-Za-z_][A-Za-z0-9_#]* (the '#' admits DARMS-ish
 /// names); keywords are not distinguished here — parsers match

@@ -332,7 +332,21 @@ RelationshipInstance* Database::MutableRel(RelInstanceId id) {
   return raw;
 }
 
+namespace {
+
+uint64_t NextCatalogVersion() {
+  static std::atomic<uint64_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
+
+uint64_t Database::catalog_version() const {
+  return ReadTables().catalog_version;
+}
+
 ErSchema* Database::MutableSchema() {
+  live_.catalog_version = NextCatalogVersion();
   if (live_.schema->gen != publish_gen_) {
     auto fresh = std::make_shared<SchemaState>(*live_.schema);
     fresh->gen = publish_gen_;
@@ -1225,6 +1239,7 @@ Status Database::DefineIndex(AttrIndexDef def) {
   payload.PutString(ix->def.entity_type);
   payload.PutString(ix->def.attr);
   MutableIndexes()->slots[key] = IndexSlot{std::move(ix), 0};
+  live_.catalog_version = NextCatalogVersion();
   return LogOp(Op::kDefineIndex, payload.data());
 }
 
@@ -1234,6 +1249,7 @@ Status Database::DestroyIndex(const std::string& name) {
     return NotFound("no index named " + name);
   // Pinned snapshots co-own the AttrIndex and keep probing it.
   MutableIndexes()->slots.erase(key);
+  live_.catalog_version = NextCatalogVersion();
   ByteWriter payload;
   payload.PutString(name);
   return LogOp(Op::kDestroyIndex, payload.data());

@@ -240,6 +240,8 @@ struct Tables {
   std::shared_ptr<IndexMap> indexes = std::make_shared<IndexMap>();
   EntityId next_entity_id = 1;
   RelInstanceId next_rel_id = 1;
+  // Database::catalog_version().
+  uint64_t catalog_version = 0;
 };
 
 /// The music data manager's entity-relationship database with
@@ -529,6 +531,15 @@ class Database {
   /// QUEL executor enforce this.
   void PublishSnapshot();
 
+  /// Changes whenever the schema or the set of secondary indexes does,
+  /// and only then (an index's erase-epoch refresh leaves it alone).
+  /// Read from the tables this thread reads: the pinned snapshot under
+  /// a SnapshotReadScope. Values come from one process-wide sequence,
+  /// so no two catalogs share one. The QUEL plan cache re-plans a
+  /// statement when it moves, so a cached AttrIndex* never outlives the
+  /// index set it was found in.
+  uint64_t catalog_version() const;
+
   /// Monotone count of published snapshots (the reader-visible epoch).
   uint64_t snapshot_epoch() const {
     return snapshot_epoch_.load(std::memory_order_relaxed);
@@ -640,6 +651,8 @@ class Database {
   /// generation. nullptr if missing.
   EntityRecord* MutableEntity(EntityId id);
   RelationshipInstance* MutableRel(RelInstanceId id);
+  // Every caller changes the schema, so this also moves the catalog
+  // version.
   ErSchema* MutableSchema();
   TypeMap* MutableByType();
   RelNameMap* MutableRelsByName();

@@ -13,8 +13,11 @@ namespace mdm {
 namespace {
 
 bool IsDdlScript(const std::string& script) {
-  std::string head = AsciiLower(std::string(StrTrim(script)));
-  return StartsWith(head, "define") || StartsWith(head, "destroy");
+  const std::string_view head = StrTrim(script);
+  auto starts = [&](std::string_view kw) {
+    return EqualsIgnoreCase(head.substr(0, kw.size()), kw);
+  };
+  return starts("define") || starts("destroy");
 }
 
 quel::ResultSet DdlSummary(const ddl::DdlResult& ddl) {

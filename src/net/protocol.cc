@@ -462,18 +462,19 @@ Result<Frame> ReadFrame(Transport* t, size_t max_frame_bytes, bool* fatal) {
 bool IsIdempotentScript(const std::string& script) {
   // Conservative word scan: any mutating / DDL keyword anywhere (even
   // inside a string literal) disqualifies the script from transparent
-  // retry. False negatives only cost a surfaced error.
-  std::string lower = AsciiLower(script);
-  for (const char* kw : {"append", "replace", "delete", "define"}) {
-    size_t pos = 0;
-    size_t len = std::strlen(kw);
-    while ((pos = lower.find(kw, pos)) != std::string::npos) {
-      bool head = pos == 0 || !std::isalnum(
-          static_cast<unsigned char>(lower[pos - 1]));
-      bool tail = pos + len == lower.size() ||
-                  !std::isalnum(static_cast<unsigned char>(lower[pos + len]));
+  // retry. False negatives only cost a surfaced error. Keywords are
+  // matched in place, case-insensitively, so no request copies its
+  // script.
+  const std::string_view text = script;
+  auto word_char = [&](size_t i) {
+    return std::isalnum(static_cast<unsigned char>(text[i])) != 0;
+  };
+  for (std::string_view kw : {"append", "replace", "delete", "define"}) {
+    for (size_t pos = 0; pos + kw.size() <= text.size(); ++pos) {
+      if (!EqualsIgnoreCase(text.substr(pos, kw.size()), kw)) continue;
+      bool head = pos == 0 || !word_char(pos - 1);
+      bool tail = pos + kw.size() == text.size() || !word_char(pos + kw.size());
       if (head && tail) return false;
-      ++pos;
     }
   }
   return true;

@@ -293,7 +293,7 @@ void Server::ServeConnection(uint64_t id, int fd) {
     states_.emplace(id, state);
   }
 
-  // One QUEL session per connection: its parse cache and declared
+  // One QUEL session per connection: its plan cache and declared
   // ranges live as long as the client stays connected, mirroring an
   // in-process QuelSession per client thread.
   quel::QuelSession session(db_);
@@ -526,6 +526,7 @@ void Server::ServeConnection(uint64_t id, int fd) {
         if (latency_us / 1000 >= opts_.slow_query_ms) {
           obs::SlowQueryRecord rec;
           rec.script_hash = obs::Fnv1a64(req->script);
+          rec.fingerprint = quel::ScriptFingerprint(req->script);
           rec.script = req->script;
           rec.trace_id = req->trace_id;
           rec.sampled = req->trace_sampled && req->trace_id != 0;

@@ -78,11 +78,19 @@ Result<size_t> TcpTransport::Recv(uint8_t* buf, size_t n) {
 }
 
 Status TcpTransport::SetRecvTimeout(uint32_t ms) {
-  return SetSocketTimeout(fd_, SO_RCVTIMEO, ms);
+  return SetCachedTimeout(SO_RCVTIMEO, ms, &recv_timeout_ms_);
 }
 
 Status TcpTransport::SetSendTimeout(uint32_t ms) {
-  return SetSocketTimeout(fd_, SO_SNDTIMEO, ms);
+  return SetCachedTimeout(SO_SNDTIMEO, ms, &send_timeout_ms_);
+}
+
+Status TcpTransport::SetCachedTimeout(int which, uint32_t ms,
+                                      uint64_t* last) {
+  if (fd_ >= 0 && *last == ms) return Status::OK();
+  Status s = SetSocketTimeout(fd_, which, ms);
+  *last = s.ok() ? ms : kUnknown;
+  return s;
 }
 
 Result<std::unique_ptr<Transport>> DialTcpTransport(const std::string& host,

@@ -75,12 +75,21 @@ class TcpTransport : public Transport {
   Result<size_t> Recv(uint8_t* buf, size_t n) override;
   void Close() override;
   int fd() const override { return fd_; }
+  /// Skip the setsockopt when the bound is already the one last set
+  /// through this transport (a client re-arms both on every attempt).
   Status SetRecvTimeout(uint32_t ms) override;
   Status SetSendTimeout(uint32_t ms) override;
 
  private:
+  // The socket's bounds as last set here; kUnknown until the first set
+  // (the fd may arrive with bounds set elsewhere) and after a failure.
+  static constexpr uint64_t kUnknown = UINT64_MAX;
+  Status SetCachedTimeout(int which, uint32_t ms, uint64_t* last);
+
   int fd_ = -1;
   bool owns_fd_ = true;
+  uint64_t recv_timeout_ms_ = kUnknown;
+  uint64_t send_timeout_ms_ = kUnknown;
 };
 
 /// TCP connect to host:port bounded by `timeout_ms`, returning a ready

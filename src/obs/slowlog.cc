@@ -53,6 +53,7 @@ std::string RenderSlowQueryJson(const SlowQueryRecord& r) {
   std::snprintf(buf, sizeof(buf), "\"seq\":%" PRIu64 ",", r.seq);
   out += buf;
   out += "\"script_hash\":\"" + FormatTraceId(r.script_hash) + "\",";
+  out += "\"fingerprint\":\"" + FormatTraceId(r.fingerprint) + "\",";
   out += "\"script\":\"" + JsonEscape(r.script) + "\",";
   out += "\"trace_id\":\"" + FormatTraceId(r.trace_id) + "\",";
   out += std::string("\"sampled\":") + (r.sampled ? "true" : "false") + ",";

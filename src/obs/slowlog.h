@@ -18,7 +18,9 @@ namespace mdm::obs {
 /// slow statement (JSONL) to a file or stderr, gated by
 /// `--slow-query-ms`. Each record carries enough to find and explain
 /// the offender without re-running it: a stable hash of the statement
-/// text (for aggregation across log rotations), a truncated script
+/// text and one of its shape with the literals taken out
+/// (quel::ScriptFingerprint, for aggregation across calls and log
+/// rotations), a truncated script
 /// excerpt, the request's trace_id (join against /traces/<id>), the
 /// measured latency, rows emitted, the canonical error code, and the
 /// per-loop actual row counts the `explain analyze` collector produces
@@ -38,6 +40,7 @@ struct SlowQueryLoop {
 struct SlowQueryRecord {
   uint64_t seq = 0;           // stamped by the log: 1, 2, ... per sink
   uint64_t script_hash = 0;   // Fnv1a64 of the full script text
+  uint64_t fingerprint = 0;   // Fnv1a64 of its literal-free shape
   std::string script;         // excerpt, truncated to kScriptExcerptChars
   uint64_t trace_id = 0;      // 0 = request carried none (v2 client)
   bool sampled = false;       // whether a trace was recorded for it

@@ -15,7 +15,12 @@ namespace mdm::quel {
 struct Expr {
   enum class Kind { kLiteral, kAttrRef, kVarRef };
   Kind kind = Kind::kLiteral;
+  // kLiteral: the value as parsed, and its slot in the script's
+  // parameter vector (ParsedScript::params). Execution reads the slot,
+  // so a cached statement runs with each call's own literals; `literal`
+  // keeps the parse-time value for explain and deparse.
   rel::Value literal;
+  uint32_t param = 0;
   std::string var;   // kAttrRef / kVarRef
   std::string attr;  // kAttrRef: attribute or relationship-role name
 

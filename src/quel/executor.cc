@@ -6,6 +6,7 @@
 
 #include "common/strings.h"
 #include "obs/metrics.h"
+#include "obs/slowlog.h"
 #include "obs/span.h"
 #include "quel/planner.h"
 #include "quel/quel.h"
@@ -20,8 +21,8 @@ using rel::ValueType;
 
 namespace {
 
-/// Scripts cached per session; cleared wholesale on overflow.
-constexpr size_t kParseCacheCapacity = 128;
+/// Script shapes cached per session; cleared wholesale on overflow.
+constexpr size_t kPlanCacheCapacity = 128;
 
 /// Process-wide mirrors of the per-session ExecStats counters.
 struct QuelCounters {
@@ -41,7 +42,7 @@ struct QuelCounters {
             "Pushed-down conjunct tests evaluated"),
         obs::Registry::Global()->GetCounter(
             "mdm_quel_parse_cache_hits_total",
-            "Scripts answered from the session parse cache")};
+            "Scripts answered from the session plan cache")};
     return c;
   }
 };
@@ -117,17 +118,18 @@ struct Bound {
 /// errors were raised by the planner.
 class Evaluator {
  public:
-  Evaluator(const Database* db, const Plan* plan, const Bound* frame)
-      : db_(db), plan_(plan), frame_(frame) {}
+  Evaluator(const Database* db, const Plan* plan, const Bound* frame,
+            const Value* params)
+      : db_(db), plan_(plan), frame_(frame), params_(params) {}
 
   /// The value of `e` under the frame: a reference into a bound record
-  /// or the AST literal, or into `*scratch` for computed refs. nullptr
-  /// on error, with `*err` set.
+  /// or the call's parameters, or into `*scratch` for computed refs.
+  /// nullptr on error, with `*err` set.
   const Value* Eval(const CompiledExpr& e, Value* scratch,
                     Status* err) const {
     switch (e.kind) {
       case CompiledExpr::Kind::kLiteral:
-        return &e.src->literal;
+        return &params_[e.index];
       case CompiledExpr::Kind::kEntity:
         *scratch = Value::Ref(frame_[e.slot].id);
         return scratch;
@@ -229,6 +231,7 @@ class Evaluator {
   const Database* db_;
   const Plan* plan_;
   const Bound* frame_;
+  const Value* params_;
 };
 
 /// Enumerates bindings for the plan's variables as nested loops, binding
@@ -241,13 +244,13 @@ class Evaluator {
 /// overhead.
 class NestedLoopJoin {
  public:
-  NestedLoopJoin(const Database* db, const Plan* plan,
-                 AnalyzeStats* actual = nullptr)
+  NestedLoopJoin(const Database* db, const Plan* plan, const Value* params,
+                 AnalyzeStats* actual)
       : db_(db),
         plan_(plan),
         actual_(actual),
         frame_(plan->vars.size()),
-        eval_(db, plan, frame_.data()),
+        eval_(db, plan, frame_.data(), params),
         filters_begin_(plan->vars.size() + 2, 0) {
     batches_.resize(plan->vars.size());
     // plan->conjuncts is sorted by depth: depth k's filters are
@@ -455,9 +458,9 @@ struct AggState {
   }
 };
 
-/// Deep copy of a qualification tree. Needed when a statement from the
-/// (shared, immutable) parse cache contributes its qual to a synthetic
-/// statement: Qual holds unique_ptr children and is not copyable.
+/// Deep copy of a qualification tree, for the parent query of an
+/// `append ... under`: Qual holds unique_ptr children and is not
+/// copyable.
 std::unique_ptr<Qual> CloneQual(const Qual& q) {
   auto out = std::make_unique<Qual>();
   out->kind = q.kind;
@@ -473,16 +476,101 @@ std::unique_ptr<Qual> CloneQual(const Qual& q) {
   return out;
 }
 
+/// The retrieve `append to X (a = e, ...) under v in O [where qual]`
+/// runs to bind v: target 0 is v itself, then one target per
+/// assignment, so the assignments are evaluated over the parent (`a =
+/// v.b` copies from it).
+std::unique_ptr<Statement> ParentQuery(const Statement& stmt) {
+  auto query = std::make_unique<Statement>();
+  query->kind = Statement::Kind::kRetrieve;
+  Target parent_target;
+  parent_target.label = "parent";
+  parent_target.expr = Expr::VarRef(stmt.append_parent_var);
+  query->targets.push_back(std::move(parent_target));
+  for (const auto& [attr, expr] : stmt.assignments) {
+    Target t;
+    t.label = attr;
+    t.expr = expr;
+    query->targets.push_back(std::move(t));
+  }
+  if (stmt.qual != nullptr) query->qual = CloneQual(*stmt.qual);
+  return query;
+}
+
+/// Whether FindAttrIndex can return an index at all.
+bool IndexesUsable(const Database& db) {
+  return db.attr_index_enabled() && !db.bulk_index_load_active();
+}
+
 }  // namespace
 
-// Defined at the bottom of this file; the append-under path runs a
-// synthetic retrieve through it to bind its parent variable.
-Result<ResultSet> RunQueryImpl(Database* db,
-                               const std::map<std::string, std::string>&
-                                   session_ranges,
-                               const Statement& stmt, bool pushdown,
+/// One statement's plan and what it was planned against.
+struct CachedPlan {
+  Plan plan;
+  uint64_t catalog_version = 0;
+  bool indexes_usable = true;
+};
+
+/// A parsed script and its statements' plans: a plan-cache entry, or
+/// the one-off twin an uncached call builds. The statements never
+/// change once parsed; `plans`, `hits` and `plans_built` are guarded by
+/// the session mutex.
+struct CachedScript {
+  explicit CachedScript(ParsedScript p) : parsed(std::move(p)) {
+    const size_t n = parsed.statements.size();
+    parent_queries.resize(n);
+    plans.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Statement& stmt = parsed.statements[i];
+      if (stmt.kind == Statement::Kind::kAppend &&
+          !stmt.append_parent_var.empty())
+        parent_queries[i] = ParentQuery(stmt);
+    }
+  }
+
+  ParsedScript parsed;
+  // Per statement: the parent query of an `append ... under`, else
+  // null. Its plan takes the statement's slot in `plans`.
+  std::vector<std::unique_ptr<Statement>> parent_queries;
+  std::vector<std::shared_ptr<const CachedPlan>> plans;
+  uint64_t hits = 0;
+  uint64_t plans_built = 0;
+};
+
+namespace {
+
+/// Whether a cached plan still fits this call: the same catalog and
+/// index switch in the tables being read, the same type behind every
+/// range variable, and no loop extent doubled or halved since the loop
+/// order was chosen for it.
+bool PlanStillValid(const Database& db, const CachedPlan& cached,
+                    const std::map<std::string, std::string>& ranges) {
+  if (cached.catalog_version != db.catalog_version() ||
+      cached.indexes_usable != IndexesUsable(db))
+    return false;
+  for (const PlannedVar& var : cached.plan.vars) {
+    auto it = ranges.find(var.name);
+    if ((it != ranges.end() ? it->second : var.name) != var.type)
+      return false;
+    Result<uint64_t> extent = var.is_relationship
+                                  ? db.CountRelationships(var.type)
+                                  : db.CountEntities(var.type);
+    if (!extent.ok() || *extent > 2 * var.cardinality ||
+        2 * *extent < var.cardinality)
+      return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+// Defined at the bottom of this file.
+Result<ResultSet> RunQueryImpl(Database* db, const Statement& stmt,
+                               const Plan& plan,
+                               const std::vector<Value>& params,
                                ExecCounters* stats,
-                               StatementActuals* actuals_out);
+                               StatementActuals* actuals_out,
+                               std::chrono::steady_clock::time_point start);
 
 std::optional<size_t> ResultSet::ColumnIndex(std::string_view name) const {
   for (size_t i = 0; i < columns.size(); ++i)
@@ -560,33 +648,65 @@ Result<ResultSet> QuelSession::ExecutePreLocked(const std::string& script) {
   return Run(script, /*pushdown=*/true, LatchMode::kPreLocked);
 }
 
+void QuelSession::ClearParseCache() {
+  std::lock_guard<std::mutex> lock(mu_);
+  plan_cache_.clear();
+}
+
+std::vector<PlanCacheEntry> QuelSession::PlanCacheEntries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<PlanCacheEntry> out;
+  for (const auto& [shape, entry] : plan_cache_)
+    out.push_back({shape, obs::Fnv1a64(shape), entry->hits,
+                   entry->plans_built});
+  return out;
+}
+
 Result<ResultSet> QuelSession::Run(const std::string& script, bool pushdown,
                                    LatchMode mode) {
-  // Statement cache: scripts are re-run verbatim by interactive sessions
-  // and benchmarks, so a text-keyed cache skips the lexer and parser.
-  // Parsing is pure (no database access), so doing it under the session
-  // mutex keeps concurrent callers of one shared session correct.
-  std::shared_ptr<const std::vector<Statement>> stmts;
-  std::map<std::string, std::string> ranges;
+  // Plan cache, keyed by the script's shape: clients send a few shapes
+  // over and over with only the literals changed, so a hit binds this
+  // call's literals as parameters and skips the lexer, the parser and
+  // (while its plans hold, PlanFor) the planner. Parsing is pure (no
+  // database access), so doing it under the session mutex keeps one
+  // parse per shape for concurrent callers of one shared session.
+  ScriptShape shape;
+  const bool cacheable =
+      pushdown && ScanScriptShape(script, &shape) && !shape.explain;
+  std::shared_ptr<CachedScript> entry;
+  std::vector<Value> params;
+  Ranges ranges;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto cached = parse_cache_.find(script);
-    if (cached != parse_cache_.end()) {
-      stmts = cached->second;
-      stats_.plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      QuelCounters::Get().parse_cache_hits->Inc();
-    } else {
-      MDM_ASSIGN_OR_RETURN(std::vector<Statement> parsed, ParseQuel(script));
-      stmts =
-          std::make_shared<const std::vector<Statement>>(std::move(parsed));
-      if (parse_cache_.size() >= kParseCacheCapacity) parse_cache_.clear();
-      parse_cache_.emplace(script, stmts);
+    if (cacheable) {
+      auto cached = plan_cache_.find(shape.text);
+      if (cached != plan_cache_.end()) {
+        entry = cached->second;
+        ++entry->hits;
+        stats_.plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
+        QuelCounters::Get().parse_cache_hits->Inc();
+        // The scanned literals, then the ones the shape itself fixes.
+        params = std::move(shape.params);
+        params.insert(params.end(),
+                      entry->parsed.params.begin() + entry->parsed.scanned,
+                      entry->parsed.params.end());
+      }
+    }
+    if (entry == nullptr) {
+      MDM_ASSIGN_OR_RETURN(ParsedScript parsed, ParseQuelScript(script));
+      params = parsed.params;
+      entry = std::make_shared<CachedScript>(std::move(parsed));
+      if (cacheable && entry->parsed.scanned == shape.params.size()) {
+        if (plan_cache_.size() >= kPlanCacheCapacity) plan_cache_.clear();
+        plan_cache_.emplace(std::move(shape.text), entry);
+      }
     }
     ranges = ranges_;
   }
 
   ResultSet last;
-  for (const Statement& stmt : *stmts) {
+  for (size_t i = 0; i < entry->parsed.statements.size(); ++i) {
+    const Statement& stmt = entry->parsed.statements[i];
     obs::Span span("quel.statement", StatementDuration(), StatementSelf());
     stats_.statements.fetch_add(1, std::memory_order_relaxed);
     QuelCounters::Get().statements->Inc();
@@ -596,7 +716,8 @@ Result<ResultSet> QuelSession::Run(const std::string& script, bool pushdown,
     if (mode == LatchMode::kPreLocked) {
       // Batch path: the caller holds the exclusive latch and an open
       // statement group around the whole batch.
-      MDM_RETURN_IF_ERROR(RunStatement(stmt, pushdown, &ranges, &last));
+      MDM_RETURN_IF_ERROR(
+          RunStatement(*entry, i, params, pushdown, &ranges, &last));
     } else if (mutates) {
       // One statement = one statement group = one WAL transaction:
       // crash-atomic, published before the latch drops, and the
@@ -608,7 +729,7 @@ Result<ResultSet> QuelSession::Run(const std::string& script, bool pushdown,
         std::unique_lock<std::shared_mutex> write_latch(db_->latch());
         LatchCounters::Get().exclusive->Inc();
         db_->BeginStatementGroup();
-        run = RunStatement(stmt, pushdown, &ranges, &last);
+        run = RunStatement(*entry, i, params, pushdown, &ranges, &last);
         // On error the group still ends: the logged prefix commits
         // (redo-only WAL — applied effects cannot be unapplied) and the
         // snapshot is published, keeping state and journal agreed.
@@ -624,20 +745,24 @@ Result<ResultSet> QuelSession::Run(const std::string& script, bool pushdown,
       if (snap != nullptr) {
         LatchCounters::Get().snapshot_reads->Inc();
         er::SnapshotReadScope scope(db_, std::move(snap));
-        MDM_RETURN_IF_ERROR(RunStatement(stmt, pushdown, &ranges, &last));
+        MDM_RETURN_IF_ERROR(
+            RunStatement(*entry, i, params, pushdown, &ranges, &last));
       } else {
         std::shared_lock<std::shared_mutex> read_latch(db_->latch());
         LatchCounters::Get().shared->Inc();
-        MDM_RETURN_IF_ERROR(RunStatement(stmt, pushdown, &ranges, &last));
+        MDM_RETURN_IF_ERROR(
+            RunStatement(*entry, i, params, pushdown, &ranges, &last));
       }
     }
   }
   return last;
 }
 
-Status QuelSession::RunStatement(const Statement& stmt, bool pushdown,
-                                 std::map<std::string, std::string>* ranges,
+Status QuelSession::RunStatement(CachedScript& script, size_t i,
+                                 const std::vector<Value>& params,
+                                 bool pushdown, Ranges* ranges,
                                  ResultSet* out) {
+  const Statement& stmt = script.parsed.statements[i];
   ResultSet& last = *out;
   switch (stmt.kind) {
       case Statement::Kind::kRange: {
@@ -665,31 +790,19 @@ Status QuelSession::RunStatement(const Statement& stmt, bool pushdown,
                !EqualsIgnoreCase(expr.var, stmt.append_parent_var)))
             return NotFound("unbound range variable " + expr.var);
         }
-        if (!stmt.append_parent_var.empty()) {
+        if (const Statement* query = script.parent_queries[i].get()) {
           // `append ... under v in ordering [where qual]`: bind v, and
-          // evaluate the assignments over it, via a synthetic retrieve
-          // (the exclusive latch is already held; RunQueryImpl takes
-          // none itself), then create one entity per distinct parent
-          // and append it as the last child. Duplicate parent bindings
-          // from a join collapse to one append each. The parent stays
-          // bound for the assignments, so `append to X (a = v.b) under
-          // v ...` copies from the parent.
-          Statement query;
-          query.kind = Statement::Kind::kRetrieve;
-          Target parent_target;
-          parent_target.label = "parent";
-          parent_target.expr = Expr::VarRef(stmt.append_parent_var);
-          query.targets.push_back(std::move(parent_target));
-          for (const auto& [attr, expr] : stmt.assignments) {
-            Target t;
-            t.label = attr;
-            t.expr = expr;
-            query.targets.push_back(std::move(t));
-          }
-          if (stmt.qual != nullptr) query.qual = CloneQual(*stmt.qual);
+          // evaluate the assignments over it, via the parent query (the
+          // exclusive latch is already held; RunQueryImpl takes none
+          // itself), then create one entity per distinct parent and
+          // append it as the last child. Duplicate parent bindings from
+          // a join collapse to one append each.
+          MDM_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan,
+                               PlanFor(script, i, *query, *ranges, pushdown));
           MDM_ASSIGN_OR_RETURN(
               ResultSet parent_rows,
-              RunQueryImpl(db_, *ranges, query, pushdown, &stats_, nullptr));
+              RunQueryImpl(db_, *query, plan->plan, params, &stats_, nullptr,
+                           {}));
           std::set<EntityId> seen;
           std::vector<const std::vector<Value>*> parents;
           for (const auto& row : parent_rows.rows) {
@@ -703,9 +816,9 @@ Status QuelSession::RunStatement(const Statement& stmt, bool pushdown,
           for (const std::vector<Value>* row : parents) {
             MDM_ASSIGN_OR_RETURN(EntityId id,
                                  db_->CreateEntity(stmt.append_type));
-            for (size_t i = 0; i < stmt.assignments.size(); ++i)
+            for (size_t k = 0; k < stmt.assignments.size(); ++k)
               MDM_RETURN_IF_ERROR(db_->SetAttribute(
-                  id, stmt.assignments[i].first, (*row)[i + 1]));
+                  id, stmt.assignments[k].first, (*row)[k + 1]));
             MDM_RETURN_IF_ERROR(db_->AppendChild(h, (*row)[0].AsRef(), id));
           }
           last = ResultSet{};
@@ -715,7 +828,8 @@ Status QuelSession::RunStatement(const Statement& stmt, bool pushdown,
         MDM_ASSIGN_OR_RETURN(EntityId id,
                              db_->CreateEntity(stmt.append_type));
         for (const auto& [attr, expr] : stmt.assignments)
-          MDM_RETURN_IF_ERROR(db_->SetAttribute(id, attr, expr.literal));
+          MDM_RETURN_IF_ERROR(
+              db_->SetAttribute(id, attr, params[expr.param]));
         last = ResultSet{};
         last.affected = 1;
         break;
@@ -723,45 +837,64 @@ Status QuelSession::RunStatement(const Statement& stmt, bool pushdown,
       case Statement::Kind::kRetrieve:
       case Statement::Kind::kReplace:
       case Statement::Kind::kDelete: {
-        MDM_ASSIGN_OR_RETURN(last, RunQuery(stmt, pushdown, *ranges));
+        MDM_ASSIGN_OR_RETURN(last,
+                             RunQuery(script, i, params, pushdown, *ranges));
         break;
       }
   }
   return Status::OK();
 }
 
-// Defined out of line to keep Run readable. `actuals_out`, when
-// non-null, receives the per-loop actual row counts even outside
-// `explain analyze` (the slow-query-log path).
-Result<ResultSet> RunQueryImpl(Database* db,
-                               const std::map<std::string, std::string>&
-                                   session_ranges,
-                               const Statement& stmt, bool pushdown,
-                               ExecCounters* stats,
-                               StatementActuals* actuals_out);
+Result<std::shared_ptr<const CachedPlan>> QuelSession::PlanFor(
+    CachedScript& script, size_t i, const Statement& stmt,
+    const Ranges& ranges, bool pushdown) {
+  std::shared_ptr<const CachedPlan> cached;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    cached = script.plans[i];
+  }
+  if (cached != nullptr && PlanStillValid(*db_, *cached, ranges))
+    return cached;
+  auto fresh = std::make_shared<CachedPlan>();
+  fresh->catalog_version = db_->catalog_version();
+  fresh->indexes_usable = IndexesUsable(*db_);
+  MDM_ASSIGN_OR_RETURN(fresh->plan, PlanQuery(db_, ranges, stmt, pushdown));
+  std::lock_guard<std::mutex> lock(mu_);
+  script.plans[i] = fresh;
+  ++script.plans_built;
+  return std::shared_ptr<const CachedPlan>(std::move(fresh));
+}
 
-Result<ResultSet> QuelSession::RunQuery(
-    const Statement& stmt, bool pushdown,
-    const std::map<std::string, std::string>& ranges) {
+Result<ResultSet> QuelSession::RunQuery(CachedScript& script, size_t i,
+                                        const std::vector<Value>& params,
+                                        bool pushdown, const Ranges& ranges) {
+  const Statement& stmt = script.parsed.statements[i];
+  // `explain analyze` times the whole statement, planning included.
+  std::chrono::steady_clock::time_point start;
+  if (stmt.explain && stmt.analyze) start = std::chrono::steady_clock::now();
+  MDM_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan,
+                       PlanFor(script, i, stmt, ranges, pushdown));
   if (!collect_actuals())
-    return RunQueryImpl(db_, ranges, stmt, pushdown, &stats_, nullptr);
+    return RunQueryImpl(db_, stmt, plan->plan, params, &stats_, nullptr,
+                        start);
   StatementActuals actuals;
-  Result<ResultSet> rs =
-      RunQueryImpl(db_, ranges, stmt, pushdown, &stats_, &actuals);
+  Result<ResultSet> rs = RunQueryImpl(db_, stmt, plan->plan, params, &stats_,
+                                      &actuals, start);
   std::lock_guard<std::mutex> lock(mu_);
   last_actuals_ = std::move(actuals);
   return rs;
 }
 
-Result<ResultSet> RunQueryImpl(
-    Database* db, const std::map<std::string, std::string>& session_ranges,
-    const Statement& stmt, bool pushdown, ExecCounters* stats,
-    StatementActuals* actuals_out) {
+// `actuals_out`, when non-null, receives the per-loop actual row counts
+// even outside `explain analyze` (the slow-query-log path). `start` is
+// when an `explain analyze` statement began.
+Result<ResultSet> RunQueryImpl(Database* db, const Statement& stmt,
+                               const Plan& plan,
+                               const std::vector<Value>& params,
+                               ExecCounters* stats,
+                               StatementActuals* actuals_out,
+                               std::chrono::steady_clock::time_point start) {
   const bool analyze = stmt.explain && stmt.analyze;
-  std::chrono::steady_clock::time_point analyze_start;
-  if (analyze) analyze_start = std::chrono::steady_clock::now();
-  MDM_ASSIGN_OR_RETURN(Plan plan,
-                       PlanQuery(db, session_ranges, stmt, pushdown));
   if (stmt.explain && !analyze) {
     // Plan-only: render without touching a single row.
     ResultSet rs;
@@ -818,7 +951,8 @@ Result<ResultSet> RunQueryImpl(
   std::vector<std::pair<EntityId, std::vector<Value>>> replacements;
   std::set<EntityId> deletions;
 
-  NestedLoopJoin join(db, &plan, collect ? &actual : nullptr);
+  NestedLoopJoin join(db, &plan, params.data(),
+                      collect ? &actual : nullptr);
   const Evaluator& eval = join.eval();
   Status err;
   Value scratch;
@@ -990,7 +1124,7 @@ Result<ResultSet> RunQueryImpl(
     // The statement ran for real; the result is the annotated plan.
     uint64_t statement_ns = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - analyze_start)
+            std::chrono::steady_clock::now() - start)
             .count());
     ResultSet out;
     out.explain = ExplainAnalyzePlan(*db, stmt, plan, actual, statement_ns);

@@ -1,5 +1,6 @@
 #include "common/strings.h"
 #include "ddl/lexer.h"
+#include "obs/slowlog.h"
 #include "quel/quel.h"
 
 namespace mdm::quel {
@@ -14,17 +15,40 @@ bool IsKeyword(const Token& tok, const char* kw) {
   return tok.type == TokenType::kIdentifier && EqualsIgnoreCase(tok.text, kw);
 }
 
+bool IsLiteral(TokenType t) {
+  return t == TokenType::kInteger || t == TokenType::kFloat ||
+         t == TokenType::kString;
+}
+
+/// The value of a literal token. The parser and the shape scan both
+/// convert through here.
+rel::Value LiteralValue(const Token& tok) {
+  switch (tok.type) {
+    case TokenType::kInteger: return rel::Value::Int(tok.int_value);
+    case TokenType::kFloat: return rel::Value::Float(tok.float_value);
+    default: return rel::Value::String(tok.text);
+  }
+}
+
 class QuelParser {
  public:
   explicit QuelParser(std::vector<Token> tokens)
-      : tokens_(std::move(tokens)) {}
+      : tokens_(std::move(tokens)), slots_(tokens_.size(), 0) {
+    // Literal tokens take parameter slots in source order, the order
+    // ScanScriptShape binds them in.
+    for (size_t i = 0; i < tokens_.size(); ++i)
+      if (IsLiteral(tokens_[i].type)) slots_[i] = scanned_++;
+    params_.resize(scanned_);
+  }
 
-  Result<std::vector<Statement>> Run() {
-    std::vector<Statement> out;
+  Result<ParsedScript> Run() {
+    ParsedScript out;
     while (!AtEnd()) {
       MDM_ASSIGN_OR_RETURN(Statement stmt, ParseStatement());
-      out.push_back(std::move(stmt));
+      out.statements.push_back(std::move(stmt));
     }
+    out.params = std::move(params_);
+    out.scanned = scanned_;
     return out;
   }
 
@@ -286,28 +310,34 @@ class QuelParser {
     return t;
   }
 
+  // A literal expression bound to parameter slot `slot`.
+  Expr Param(rel::Value v, uint32_t slot) {
+    params_[slot] = v;
+    Expr e = Expr::Literal(std::move(v));
+    e.param = slot;
+    return e;
+  }
+
   // expr := literal | IDENT | IDENT '.' IDENT
   Result<Expr> ParseExpr() {
     const Token& tok = Peek();
     switch (tok.type) {
-      case TokenType::kInteger: {
-        Advance();
-        return Expr::Literal(rel::Value::Int(tok.int_value));
-      }
-      case TokenType::kFloat: {
-        Advance();
-        return Expr::Literal(rel::Value::Float(tok.float_value));
-      }
+      case TokenType::kInteger:
+      case TokenType::kFloat:
       case TokenType::kString: {
+        const uint32_t slot = slots_[pos_];
         Advance();
-        return Expr::Literal(rel::Value::String(tok.text));
+        return Param(LiteralValue(tok), slot);
       }
       case TokenType::kIdentifier: {
         if (EqualsIgnoreCase(tok.text, "true") ||
             EqualsIgnoreCase(tok.text, "false")) {
+          // Part of the script's shape, not scanned: a slot after the
+          // scanned ones.
           Advance();
-          return Expr::Literal(
-              rel::Value::Bool(EqualsIgnoreCase(tok.text, "true")));
+          params_.emplace_back();
+          return Param(rel::Value::Bool(EqualsIgnoreCase(tok.text, "true")),
+                       static_cast<uint32_t>(params_.size() - 1));
         }
         std::string var = tok.text;
         Advance();
@@ -436,15 +466,58 @@ class QuelParser {
   }
 
   std::vector<Token> tokens_;
+  std::vector<uint32_t> slots_;  // per token: its parameter slot
+  uint32_t scanned_ = 0;         // literal tokens
+  std::vector<rel::Value> params_;
   size_t pos_ = 0;
 };
 
 }  // namespace
 
-Result<std::vector<Statement>> ParseQuel(const std::string& script) {
+Result<ParsedScript> ParseQuelScript(const std::string& script) {
   MDM_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(script));
   QuelParser parser(std::move(tokens));
   return parser.Run();
+}
+
+Result<std::vector<Statement>> ParseQuel(const std::string& script) {
+  MDM_ASSIGN_OR_RETURN(ParsedScript parsed, ParseQuelScript(script));
+  return std::move(parsed.statements);
+}
+
+bool ScanScriptShape(const std::string& script, ScriptShape* out) {
+  out->text.clear();
+  out->text.reserve(script.size());
+  out->params.clear();
+  out->explain = false;
+  ddl::Scanner scanner(script);
+  Token tok;
+  size_t prev_end = 0;
+  while (true) {
+    if (!scanner.Next(&tok).ok()) return false;
+    if (tok.type == TokenType::kEnd) return true;
+    // Any run of whitespace and comments between tokens is one space,
+    // so the shape is the token stream and spacing does not split it.
+    if (scanner.token_begin() != prev_end && !out->text.empty())
+      out->text += ' ';
+    prev_end = scanner.token_end();
+    if (IsLiteral(tok.type)) {
+      // '?' starts no token, so a placeholder never reads as source.
+      out->text += tok.type == TokenType::kInteger ? "?i"
+                   : tok.type == TokenType::kFloat ? "?f"
+                                                   : "?s";
+      out->params.push_back(LiteralValue(tok));
+      continue;
+    }
+    if (IsKeyword(tok, "explain")) out->explain = true;
+    out->text.append(script, scanner.token_begin(),
+                     prev_end - scanner.token_begin());
+  }
+}
+
+uint64_t ScriptFingerprint(const std::string& script) {
+  ScriptShape shape;
+  return obs::Fnv1a64(ScanScriptShape(script, &shape) ? shape.text : script);
 }
 
 }  // namespace mdm::quel

@@ -87,7 +87,10 @@ Result<CompiledExpr> CompileExpr(const Database* db, Plan* plan,
                                  const Expr& e) {
   CompiledExpr out;
   out.src = &e;
-  if (e.kind == Expr::Kind::kLiteral) return out;
+  if (e.kind == Expr::Kind::kLiteral) {
+    out.index = e.param;
+    return out;
+  }
   MDM_ASSIGN_OR_RETURN(out.slot, SlotOf(*plan, e.var));
   PlannedVar& var = plan->vars[out.slot];
   if (e.kind == Expr::Kind::kVarRef) {

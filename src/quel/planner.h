@@ -16,10 +16,12 @@ namespace mdm::quel {
 /// a slot (the index of that variable in Plan::vars, bound by loop
 /// slot + 1) and its attribute or role name is an index into the bound
 /// record, both resolved once at plan time. Evaluation reads
-/// `attrs[index]` of the record in the slot and looks up no name.
+/// `attrs[index]` of the record in the slot and looks up no name. A
+/// literal reads parameter `index` of the call (Expr::param), so one
+/// plan serves every call of a script shape.
 struct CompiledExpr {
   enum class Kind : uint8_t {
-    kLiteral,   // src->literal
+    kLiteral,   // the call's params[index]
     kEntity,    // the entity bound to `slot`, as a ref
     kAttr,      // attrs[index] of the entity bound to `slot`
     kRole,      // role_refs[index] of the relationship bound to `slot`
@@ -30,7 +32,7 @@ struct CompiledExpr {
   Kind kind = Kind::kLiteral;
   uint32_t slot = 0;
   uint32_t index = 0;
-  const Expr* src = nullptr;  // the AST node (literal, error text)
+  const Expr* src = nullptr;  // the AST node (literal type, error text)
 };
 
 /// One qualification node, compiled. The tree mirrors its Qual node for
@@ -115,9 +117,11 @@ struct PlannedConjunct {
 /// frame slots and record indexes, with every ordering operator bound
 /// to an er::OrderingHandle — the executor looks up no variable,
 /// attribute or ordering name per row. Compiled nodes point into the
-/// statement's AST (literals, names for error text), which must outlive
-/// the plan; the AST itself is never modified, so a cached statement
-/// can be planned by many threads at once.
+/// statement's AST (literal types, names for error text), which must
+/// outlive the plan; the AST itself is never modified, so a cached
+/// statement can be planned by many threads at once. Nothing in a plan
+/// depends on a literal's value, only on its type, so a plan is reused
+/// for every call of a script shape (quel.h, "Plan cache").
 struct Plan {
   std::vector<PlannedVar> vars;  // slot k = vars[k], bound by loop k + 1
   // Sorted by depth (stably, so filters of one depth keep query order).

@@ -99,7 +99,7 @@ struct ExecStats {
   uint64_t statements = 0;           // statements executed
   uint64_t rows_scanned = 0;         // range-variable bindings enumerated
   uint64_t conjuncts_evaluated = 0;  // pushed-down conjunct tests
-  uint64_t plan_cache_hits = 0;      // scripts answered from the parse cache
+  uint64_t plan_cache_hits = 0;      // scripts answered from the plan cache
 
   std::string ToString() const;
 };
@@ -146,6 +146,17 @@ struct StatementActuals {
   bool empty() const { return loops.empty(); }
 };
 
+/// One plan-cache entry as seen from outside (tests, diagnostics).
+struct PlanCacheEntry {
+  std::string shape;         // ScriptShape::text, the cache key
+  uint64_t fingerprint = 0;  // ScriptFingerprint of any script of it
+  uint64_t hits = 0;         // calls answered from this entry
+  uint64_t plans_built = 0;  // statement plans built (first use, rebuilds)
+};
+
+struct CachedScript;
+struct CachedPlan;
+
 /// A QUEL session against one MDM database.
 ///
 /// Implements the QUEL subset used in the paper plus the §5.6
@@ -182,14 +193,25 @@ struct StatementActuals {
 /// straight from the bound record, and a loop whose
 /// `under`/`before`/`after` conjunct has its other operand bound
 /// outside enumerates that ordering slice instead of its extent.
-/// Parsed scripts are cached by text, so repeated Execute calls skip the
-/// lexer/parser entirely. `explain retrieve` renders the plan without
-/// running it.
+/// `explain retrieve` renders the plan without running it.
+///
+/// Plan cache: scripts are cached by shape (ScanScriptShape), the text
+/// with each literal replaced by a placeholder tagged with its type. An
+/// entry holds the parsed statements and each statement's Plan; a call
+/// of a cached shape binds its own literals into the statements'
+/// parameter slots (Expr::param), so it runs no lexer, parser or
+/// planner. A cached plan is rebuilt when the catalog it was planned on
+/// changed (Database::catalog_version, read from the pinned snapshot),
+/// when the index ablation switch flipped, when a range variable now
+/// names another type, or when a loop's extent has doubled or halved
+/// since planning. ExecuteNaive and scripts containing `explain` run
+/// uncached. At most 128 shapes are cached per session; the cache is
+/// cleared wholesale when full.
 ///
 /// Thread safety: Execute/ExecuteNaive may be called concurrently —
 /// from many sessions sharing one database (the normal multi-client
 /// shape, one session per client thread) or from threads sharing one
-/// session (the parse cache and range declarations are mutex-guarded;
+/// session (the plan cache and range declarations are mutex-guarded;
 /// the counters are atomics). Each statement runs under the database
 /// latch: shared for range/retrieve, exclusive for append/replace/
 /// delete, so retrieves see snapshot-consistent states and mutating
@@ -238,18 +260,18 @@ class QuelSession {
   /// Snapshot of the cumulative execution counters (see ExecStats).
   ExecStats stats() const { return stats_.Snapshot(); }
 
-  /// Zeroes the counters only — the parse cache is left intact, so
+  /// Zeroes the counters only — the plan cache is left intact, so
   /// re-running a cached script after ResetStats still counts a
   /// plan_cache_hit. Use ClearParseCache to drop cached scripts.
   void ResetStats() { stats_.Reset(); }
 
-  /// Drops every cached parsed script without touching the counters;
-  /// the next Execute of any script re-parses it (and does not count a
-  /// plan_cache_hit).
-  void ClearParseCache() {
-    std::lock_guard<std::mutex> lock(mu_);
-    parse_cache_.clear();
-  }
+  /// Drops every cached script shape and its plans without touching
+  /// the counters; the next Execute of any script re-parses and
+  /// re-plans it (and does not count a plan_cache_hit).
+  void ClearParseCache();
+
+  /// The cached shapes, in no particular order.
+  std::vector<PlanCacheEntry> PlanCacheEntries() const;
 
   /// When on, every query statement records its per-loop actual row
   /// counts (the `explain analyze` collector, minus the timing render)
@@ -282,33 +304,73 @@ class QuelSession {
     kPreLocked,  // caller holds the exclusive latch + statement group
   };
 
+  using Ranges = std::map<std::string, std::string>;
+
   Result<ResultSet> Run(const std::string& script, bool pushdown,
                         LatchMode mode = LatchMode::kAuto);
-  Status RunStatement(const Statement& stmt, bool pushdown,
-                      std::map<std::string, std::string>* ranges,
-                      ResultSet* last);
-  Result<ResultSet> RunQuery(const Statement& stmt, bool pushdown,
-                             const std::map<std::string, std::string>& ranges);
+  // Statement `i` of `script`, with the call's literals in `params`.
+  Status RunStatement(CachedScript& script, size_t i,
+                      const std::vector<rel::Value>& params, bool pushdown,
+                      Ranges* ranges, ResultSet* last);
+  Result<ResultSet> RunQuery(CachedScript& script, size_t i,
+                             const std::vector<rel::Value>& params,
+                             bool pushdown, const Ranges& ranges);
+  // The plan of `stmt`, statement `i` of `script` (or the parent query
+  // of an `append ... under`): the cached one while it is still valid,
+  // else a new one, which replaces it.
+  Result<std::shared_ptr<const CachedPlan>> PlanFor(CachedScript& script,
+                                                    size_t i,
+                                                    const Statement& stmt,
+                                                    const Ranges& ranges,
+                                                    bool pushdown);
 
   er::Database* db_;
-  // mu_ guards ranges_, parse_cache_ and last_actuals_ (session-local
-  // state); the database itself is guarded by its own latch, taken per
-  // statement.
+  // mu_ guards ranges_, plan_cache_ (with its entries' plans and
+  // counts) and last_actuals_ (session-local state); the database
+  // itself is guarded by its own latch, taken per statement.
   mutable std::mutex mu_;
-  std::map<std::string, std::string> ranges_;
+  Ranges ranges_;
   ExecCounters stats_;
   std::atomic<bool> collect_actuals_{false};
   StatementActuals last_actuals_;
-  // Statement cache keyed by script text. Statements are immutable once
-  // parsed; the shared_ptr keeps a script alive while it executes even
-  // if the cache is cleared mid-run.
-  std::unordered_map<std::string,
-                     std::shared_ptr<const std::vector<Statement>>>
-      parse_cache_;
+  // Plan cache keyed by script shape. The shared_ptr keeps an entry
+  // alive while it executes even if the cache is cleared mid-run.
+  std::unordered_map<std::string, std::shared_ptr<CachedScript>> plan_cache_;
 };
 
 /// Parses a QUEL script into statements (exposed for tests).
 Result<std::vector<Statement>> ParseQuel(const std::string& script);
+
+/// A parsed script: its statements and its literals' values by
+/// parameter slot (Expr::param). Slots [0, scanned) hold the literal
+/// tokens in source order, the values ScanScriptShape binds; literals
+/// the parser makes from identifiers (`true`, `false`) follow.
+struct ParsedScript {
+  std::vector<Statement> statements;
+  std::vector<rel::Value> params;
+  size_t scanned = 0;
+};
+Result<ParsedScript> ParseQuelScript(const std::string& script);
+
+/// A script with its literals taken out. `text` is the token stream
+/// with each literal replaced by `?i`, `?f` or `?s` (its type: the
+/// planner's index-probe type gate depends on it) and any whitespace or
+/// comment between tokens by one space; `params` are the literals'
+/// values in source order.
+struct ScriptShape {
+  std::string text;
+  std::vector<rel::Value> params;
+  bool explain = false;  // an `explain` keyword: the script runs uncached
+};
+
+/// Scans `script` with the lexer's tokenizer. Returns false, leaving
+/// the parser to report why, when the script does not lex.
+bool ScanScriptShape(const std::string& script, ScriptShape* out);
+
+/// FNV-1a-64 of the script's shape (of its text when it does not lex):
+/// one value for every script that differs only in its literals. The
+/// slow-query log stamps it on each record.
+uint64_t ScriptFingerprint(const std::string& script);
 
 }  // namespace mdm::quel
 

@@ -350,7 +350,7 @@ TEST(QuelConcurrency, ConcurrentRetrievesWithMutatingClient) {
 }
 
 // ----------------------------------------------------------------------
-// QUEL: one session SHARED by several threads — the parse cache and
+// QUEL: one session SHARED by several threads — the plan cache and
 // counters are session state, so this hammers the session mutex and the
 // atomic ExecStats. Counter totals must come out exact, both on the
 // session and on the process-wide obs registry (the PR3 counters,

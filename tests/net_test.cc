@@ -8,6 +8,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -398,6 +399,11 @@ TEST(ProtocolTest, IsIdempotentScript) {
   // Substrings of keywords do not disqualify.
   EXPECT_TRUE(net::IsIdempotentScript(
       "retrieve (n.name) where n.definedness = 1"));
+  // Keywords match in any case, at either end of the script.
+  EXPECT_FALSE(net::IsIdempotentScript("DELETE n"));
+  EXPECT_FALSE(net::IsIdempotentScript("range of n is NOTE Append"));
+  EXPECT_TRUE(net::IsIdempotentScript("retrieve (NOTE.xdelete)"));
+  EXPECT_TRUE(net::IsIdempotentScript(""));
 }
 
 // ---------------------------------------------------------------------
@@ -962,6 +968,40 @@ TEST(ClientTest, HandshakeTimeoutDoesNotCapLaterReplies) {
   client->Close();
   srv.join();
   ::close(lfd);
+}
+
+// TcpTransport skips a setsockopt that would set the bound already in
+// place, but starts from "unknown": an fd handed over with a bound set
+// elsewhere gets it replaced on the first call, even by 0.
+TEST(TransportTest, TimeoutCacheStartsUnknownAndTracksChanges) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  auto recv_timeout_ms = [&] {
+    struct timeval tv = {};
+    socklen_t len = sizeof(tv);
+    EXPECT_EQ(::getsockopt(fds[0], SOL_SOCKET, SO_RCVTIMEO, &tv, &len), 0);
+    return tv.tv_sec * 1000 + tv.tv_usec / 1000;
+  };
+  struct timeval preset = {};
+  preset.tv_sec = 7;
+  ASSERT_EQ(::setsockopt(fds[0], SOL_SOCKET, SO_RCVTIMEO, &preset,
+                         sizeof(preset)),
+            0);
+  {
+    net::TcpTransport t(fds[0], /*owns_fd=*/false);
+    ASSERT_TRUE(t.SetRecvTimeout(0).ok());
+    EXPECT_EQ(recv_timeout_ms(), 0);
+    ASSERT_TRUE(t.SetRecvTimeout(2000).ok());
+    EXPECT_EQ(recv_timeout_ms(), 2000);
+    ASSERT_TRUE(t.SetRecvTimeout(2000).ok());
+    ASSERT_TRUE(t.SetRecvTimeout(0).ok());
+    EXPECT_EQ(recv_timeout_ms(), 0);
+    ASSERT_TRUE(t.SetSendTimeout(0).ok());
+  }
+  ::close(fds[0]);
+  ::close(fds[1]);
+  net::TcpTransport closed(-1);
+  EXPECT_FALSE(closed.SetRecvTimeout(0).ok());
 }
 
 // ---------------------------------------------------------------------

@@ -178,6 +178,7 @@ TEST(SlowQueryLogTest, RecordRendersGoldenJson) {
   r.seq = 3;
   r.script = "retrieve (n.name)\nwhere n.name = \"x\"";
   r.script_hash = obs::Fnv1a64(r.script);
+  r.fingerprint = 0x0123456789abcdefull;
   r.trace_id = 0xdeadbeefull;
   r.sampled = true;
   r.latency_us = 1234;
@@ -189,6 +190,7 @@ TEST(SlowQueryLogTest, RecordRendersGoldenJson) {
       obs::RenderSlowQueryJson(r),
       "{\"seq\":3,"
       "\"script_hash\":\"" + obs::FormatTraceId(r.script_hash) + "\","
+      "\"fingerprint\":\"0123456789abcdef\","
       "\"script\":\"retrieve (n.name)\\nwhere n.name = \\\"x\\\"\","
       "\"trace_id\":\"00000000deadbeef\",\"sampled\":true,"
       "\"latency_us\":1234,\"rows\":2,\"affected\":0,\"error\":\"OK\","
@@ -435,18 +437,32 @@ TEST_F(TraceServerTest, SlowQueryLogRecordsTraceIdAndPerLoopActuals) {
   copts.trace_seed = 7;
   auto conn = Connection::Remote("127.0.0.1", server_->port(), copts);
   ASSERT_TRUE(conn.ok());
-  auto rs = conn->Execute(
+  const std::string script =
       "range of n1, n2 is NOTE\n"
       "retrieve (n1.name) where n1 before n2 in note_in_chord "
-      "and n2.name = 3");
+      "and n2.name = 3";
+  auto rs = conn->Execute(script);
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   uint64_t id = conn->last_trace_id();
+  // Another literal: another script_hash, the same fingerprint.
+  std::string other = script;
+  other.back() = '4';
+  ASSERT_TRUE(conn->Execute(other).ok());
   server_->Stop();  // drain: the slow-query record is written
 
-  EXPECT_EQ(opts.slow_query_log->records_written(), 1u);
+  EXPECT_EQ(opts.slow_query_log->records_written(), 2u);
   std::ifstream in(path);
   std::string line;
+  std::string second;
   ASSERT_TRUE(static_cast<bool>(std::getline(in, line)));
+  ASSERT_TRUE(static_cast<bool>(std::getline(in, second)));
+  const std::string fingerprint =
+      "\"fingerprint\":\"" +
+      obs::FormatTraceId(quel::ScriptFingerprint(script)) + "\"";
+  EXPECT_NE(line.find(fingerprint), std::string::npos) << line;
+  EXPECT_NE(second.find(fingerprint), std::string::npos) << second;
+  EXPECT_EQ(second.find(obs::FormatTraceId(obs::Fnv1a64(script))),
+            std::string::npos);
   // The record carries the CLIENT's trace id — the slowlog/trace join.
   EXPECT_NE(line.find("\"trace_id\":\"" + obs::FormatTraceId(id) + "\""),
             std::string::npos);
