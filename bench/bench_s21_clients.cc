@@ -17,7 +17,6 @@
 #include "bench_util.h"
 #include "common/strings.h"
 #include "er/persist.h"
-#include "er/session.h"
 #include "net/connection.h"
 #include "quel/quel.h"
 
@@ -28,7 +27,7 @@ constexpr int kNotesPerChord = 8;
 double kSecondsPerPoint = 0.5;  // --smoke shrinks this
 
 /// One reader's query mix: alternating ordering predicates and scans,
-/// each a fresh snapshot read under the shared latch.
+/// each a read of a freshly pinned snapshot.
 const char* ReaderScript(uint64_t i) {
   switch (i % 3) {
     case 0:
@@ -53,17 +52,16 @@ double MeasureQps(mdm::er::Database* db, int threads) {
   std::atomic<uint64_t> errors{0};
 
   std::thread writer([&] {
-    mdm::er::Session session(db);
     auto h = *db->ResolveOrderingHandle("note_in_chord");
     auto c1 = db->Children(h, 1);
     if (!c1.ok() || c1->empty()) std::abort();
     while (!stop.load(std::memory_order_relaxed)) {
-      auto w = session.Write();
+      mdm::er::WriteTxn txn(db);
       // Rotate chord 1: detach its first note and re-append it.
-      auto kids = w->Children(h, 1);
+      auto kids = txn->Children(h, 1);
       if (!kids.ok() || kids->empty()) continue;
-      if (!w->RemoveChild(h, kids->front()).ok() ||
-          !w->AppendChild(h, 1, kids->front()).ok())
+      if (!txn->RemoveChild(h, kids->front()).ok() ||
+          !txn->AppendChild(h, 1, kids->front()).ok() || !txn.Commit().ok())
         errors.fetch_add(1);
     }
   });

@@ -32,8 +32,7 @@ using mdm::rel::Value;
 // note name (thematic catalog) and the chord reference (is-join).
 // NOTE.serial is deliberately left unindexed (footnote 3's wrong key);
 // it is unique per note, like the name, so both selections return one
-// row. The writes are published before it returns, so timed reads take
-// the pinned-snapshot path a server session takes.
+// row. The whole load is one er::WriteTxn.
 Database MakeIndexedChordDb(int n_chords, int notes_per_chord) {
   Database db;
   auto ddl = mdm::ddl::ExecuteDdl(R"(
@@ -46,6 +45,7 @@ Database MakeIndexedChordDb(int n_chords, int notes_per_chord) {
                                   &db);
   if (!ddl.ok()) std::abort();
   int note_name = 0;
+  mdm::er::WriteTxn txn(&db);
   for (int c = 1; c <= n_chords; ++c) {
     EntityId chord = *db.CreateEntity("CHORD");
     (void)db.SetAttribute(chord, "name", Value::Int(c));
@@ -56,7 +56,7 @@ Database MakeIndexedChordDb(int n_chords, int notes_per_chord) {
       (void)db.SetAttribute(note, "chord", Value::Ref(chord));
     }
   }
-  db.PublishSnapshot();
+  if (!txn.Commit().ok()) std::abort();
   return db;
 }
 
@@ -136,7 +136,8 @@ void BM_IsJoinLinearScan(benchmark::State& state) {
 BENCHMARK(BM_IsJoinLinearScan)->Arg(64)->Arg(1024)->Arg(10000);
 
 // Maintenance price: each iteration re-points one note's indexed
-// attributes (two erase+insert pairs in the trees).
+// attributes (two erase+insert pairs in the trees). The updates run in
+// one er::WriteTxn, so no iteration pays a snapshot publish.
 void BM_IndexedUpdate(benchmark::State& state) {
   Database db = MakeIndexedChordDb(10, 100);
   EntityId victim = 0;
@@ -145,6 +146,7 @@ void BM_IndexedUpdate(benchmark::State& state) {
     return false;
   });
   int64_t next = 1000000;
+  mdm::er::WriteTxn txn(&db);
   for (auto _ : state) {
     if (!db.SetAttribute(victim, "name", Value::Int(next++)).ok())
       state.SkipWithError("update failed");
@@ -170,8 +172,9 @@ double NsPerOp(F&& f, int iters) {
 }
 
 // Footnote 3's row: the wrong-key selection at `notes` entries with
-// every index enabled. Aborts unless `explain` shows a plain scan.
-double WrongKeyNs(int notes, int iters) {
+// every index enabled. Aborts unless `explain` shows a plain scan. Adds
+// the statements it ran to `*statements`.
+double WrongKeyNs(int notes, int iters, uint64_t* statements) {
   Database db = MakeIndexedChordDb(1, notes);
   Connection conn = Connection::Local(&db);
   std::string q = WrongKeyQuery(notes);
@@ -184,15 +187,17 @@ double WrongKeyNs(int notes, int iters) {
                            : plan.status().ToString().c_str());
     std::abort();
   }
-  return NsPerOp([&] { benchmark::DoNotOptimize(conn.Execute(q)->size()); },
-                 iters);
+  const double ns = NsPerOp(
+      [&] { benchmark::DoNotOptimize(conn.Execute(q)->size()); }, iters);
+  *statements += conn.local_stats().statements;
+  return ns;
 }
 
 // The acceptance comparison at 10^4 entries, one JSON object so runs
 // can be diffed: indexed vs EnableAttrIndex(false) for the catalog
 // lookup and the is-join, the wrong-key scan at 10^3 and 10^4 entries,
-// plus the registry's index counters. Aborts if any timed statement fell
-// back to the shared latch instead of reading a pinned snapshot.
+// plus the registry's index counters. Aborts unless every statement it
+// ran read a pinned snapshot.
 void EmitAcceptanceJson() {
   constexpr int kIters = 200;
   MetricsSection metrics;
@@ -221,8 +226,10 @@ void EmitAcceptanceJson() {
       kIters / 10);
   corpus.EnableAttrIndex(true);
 
-  double wrong_1k = WrongKeyNs(1000, kIters / 2);
-  double wrong_10k = WrongKeyNs(10000, kIters / 10);
+  uint64_t statements =
+      conn.local_stats().statements + cc.local_stats().statements;
+  double wrong_1k = WrongKeyNs(1000, kIters / 2, &statements);
+  double wrong_10k = WrongKeyNs(10000, kIters / 10, &statements);
 
   const double lookup_x = lookup_scan / lookup_idx;
   const double join_x = join_scan / join_idx;
@@ -243,12 +250,12 @@ void EmitAcceptanceJson() {
       join_idx, join_scan, join_x, kTargetSpeedup, Met(join_x), wrong_1k,
       wrong_10k, wrong_10k / wrong_1k, wrong_10k / lookup_scan,
       metrics.DeltaJson().c_str());
-  const uint64_t fallbacks =
-      metrics.Delta("mdm_er_snapshot_pin_fallbacks_total");
-  if (fallbacks != 0) {
+  const uint64_t pinned = metrics.Delta("mdm_quel_snapshot_reads_total");
+  if (pinned != statements) {
     std::fprintf(stderr,
-                 "%llu timed statements fell back to the shared latch\n",
-                 (unsigned long long)fallbacks);
+                 "%llu of %llu timed read statements read a pinned "
+                 "snapshot\n",
+                 (unsigned long long)pinned, (unsigned long long)statements);
     std::abort();
   }
   std::printf("acceptance (>=%.0fx at 10^4 entries): lookup %.1fx (met: %s), "

@@ -17,7 +17,6 @@
 
 #include "bench_util.h"
 #include "common/strings.h"
-#include "er/session.h"
 #include "quel/quel.h"
 
 namespace {
@@ -165,6 +164,7 @@ Database MakeStaffDb(int staves, int per_staff) {
                                   &db);
   if (!ddl.ok()) std::abort();
   auto h = *db.ResolveOrderingHandle("note_on_staff");
+  mdm::er::WriteTxn txn(&db);
   for (int s = 1; s <= staves; ++s) {
     mdm::er::EntityId staff = *db.CreateEntity("STAFF");
     (void)db.SetAttribute(staff, "number", mdm::rel::Value::Int(s));
@@ -172,8 +172,7 @@ Database MakeStaffDb(int staves, int per_staff) {
       AppendNote(&db, h, staff,
                  n + 1 == per_staff ? kRareKey : 48 + (n * 7) % 36, n % 7);
   }
-  // Reads then run on a pinned snapshot, as they do in the server.
-  db.PublishSnapshot();
+  if (!txn.Commit().ok()) std::abort();
   return db;
 }
 
@@ -276,7 +275,7 @@ class DirectShapes {
 
   /// Runs `shape` ("A3", "A4" or "T1") on staff 2; returns its row count.
   size_t Run(const std::string& shape) const {
-    mdm::er::SnapshotReadScope scope(db_, db_->TryPinSnapshot());
+    mdm::er::SnapshotReadScope scope(db_, db_->PinSnapshot());
     const mdm::rel::Value two = mdm::rel::Value::Int(2);
     size_t out = 0;
     for (mdm::er::EntityId staff : db_->IndexLookup(*staff_number_, two)) {
@@ -397,7 +396,7 @@ std::string NsPerRowRow(bool smoke) {
 
 // A1 and T1 with and without insert churn: with churn, every round
 // first appends one note to the last staff (an editor's write, one
-// WriteGuard bracket), then times one A1 and one T1 on staff 2. The
+// WriteTxn), then times one A1 and one T1 on staff 2. The
 // ordering predicates read the snapshot's own edges, so a write
 // anywhere must not make the next read slower. Returns the row; writes
 // A1's p99-with-churn / p50-without ratio per corpus size to `ratios`.
@@ -419,8 +418,9 @@ std::string InsertChurnRow(bool smoke, std::vector<double>* ratios) {
       std::vector<double> a1_us, t1_us;
       for (int r = 0; r < rounds; ++r) {
         if (churn) {
-          mdm::er::WriteGuard w(db);
-          AppendNote(w.db(), h, last_staff, 48 + r % 36, r % 7);
+          mdm::er::WriteTxn txn(&db);
+          AppendNote(&db, h, last_staff, 48 + r % 36, r % 7);
+          if (!txn.Commit().ok()) std::abort();
         }
         a1_us.push_back(UsOf([&] {
           benchmark::DoNotOptimize(session.Execute(kA1Query)->size());

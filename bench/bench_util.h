@@ -16,8 +16,8 @@
 namespace mdm::bench {
 
 /// Installs the paper's NOTE/CHORD schema and populates `n_chords`
-/// chords with `notes_per_chord` notes each. Note names are sequential;
-/// chord names are 1-based. The writes are published before it returns.
+/// chords with `notes_per_chord` notes each, in one er::WriteTxn. Note
+/// names are sequential; chord names are 1-based.
 inline er::Database MakeChordDb(int n_chords, int notes_per_chord) {
   er::Database db;
   auto ddl = ddl::ExecuteDdl(R"(
@@ -28,6 +28,7 @@ inline er::Database MakeChordDb(int n_chords, int notes_per_chord) {
                              &db);
   if (!ddl.ok()) std::abort();
   int note_name = 0;
+  er::WriteTxn txn(&db);
   for (int c = 1; c <= n_chords; ++c) {
     auto chord = db.CreateEntity("CHORD");
     (void)db.SetAttribute(*chord, "name", rel::Value::Int(c));
@@ -37,20 +38,19 @@ inline er::Database MakeChordDb(int n_chords, int notes_per_chord) {
       (void)db.AppendChild("note_in_chord", *chord, *note);
     }
   }
-  // Publish the direct-API writes, so timed reads take the snapshot path
-  // that server sessions take, not the shared-latch fallback.
-  db.PublishSnapshot();
+  if (!txn.Commit().ok()) std::abort();
   return db;
 }
 
 /// Builds a random single-voice score of `n_measures` measures in 4/4,
-/// four quarter-note single-note chords per measure, and publishes it
-/// (see MakeChordDb).
+/// four quarter-note single-note chords per measure, in one
+/// er::WriteTxn.
 inline er::EntityId MakeRandomScore(er::Database* db, int n_measures,
                                     uint64_t seed = 7) {
   if (!cmn::InstallCmnSchema(db).ok()) std::abort();
   cmn::ScoreBuilder builder(db);
   Rng rng(seed);
+  er::WriteTxn txn(db);
   auto score = builder.CreateScore("bench score");
   auto movement = builder.AddMovement(*score, "I");
   auto voice = builder.AddVoice(1);
@@ -63,7 +63,7 @@ inline er::EntityId MakeRandomScore(er::Database* db, int n_measures,
                                 55 + static_cast<int>(rng.Uniform(24)));
     }
   }
-  db->PublishSnapshot();
+  if (!txn.Commit().ok()) std::abort();
   return *score;
 }
 

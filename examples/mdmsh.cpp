@@ -29,7 +29,6 @@
 #include "ddl/parser.h"
 #include "er/database.h"
 #include "er/persist.h"
-#include "er/session.h"
 #include "net/admin.h"
 #include "net/connection.h"
 #include "obs/metrics.h"
@@ -56,7 +55,7 @@ bool SplitHostPort(const std::string& endpoint, std::string* host,
 /// \stress: re-runs the last executed QUEL script from N concurrent
 /// client threads (each with its own local Connection, the fig 1
 /// many-clients shape) and reports aggregate throughput. Retrieves
-/// overlap under the shared latch; mutating scripts serialize safely.
+/// read pinned snapshots with no latch; mutating scripts serialize safely.
 /// (Local sessions only: against a remote server, run several mdmsh
 /// --connect processes, or bench_s21_net.)
 void RunStress(mdm::er::Database* db, const std::string& script,
@@ -198,11 +197,11 @@ int main(int argc, char** argv) {
       } else if (cmd == "\\ho") {
         std::printf("%s", db.HoGraphDot().c_str());
       } else if (cmd == "\\stats") {
-        // One ReadGuard around the whole report: the counts form one
-        // consistent snapshot even if \stress threads were running.
-        mdm::er::ReadGuard read{db};
-        for (const auto& type : read->schema().entity_types()) {
-          auto n = read->CountEntities(type.name);
+        // One pinned snapshot under the whole report: the counts form
+        // one consistent state even if \stress threads were running.
+        mdm::er::SnapshotReadScope read(&db, db.PinSnapshot());
+        for (const auto& type : db.schema().entity_types()) {
+          auto n = db.CountEntities(type.name);
           std::printf("  %-20s %llu\n", type.name.c_str(),
                       n.ok() ? (unsigned long long)*n : 0ull);
         }

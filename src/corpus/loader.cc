@@ -1,9 +1,7 @@
 #include "corpus/loader.h"
 
 #include <algorithm>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 
 #include "biblio/thematic_index.h"
 #include "cmn/schema.h"
@@ -66,36 +64,6 @@ class BulkIndexScope {
   er::Database* db_;
 };
 
-/// One score's import = ONE er statement group = one WAL transaction
-/// with a single (group-committable) fsync — the in-process analog of
-/// Connection::ExecuteBatch, which the workload driver uses for the
-/// same reason. Without this, every CreateEntity/SetAttribute inside
-/// the DARMS importer auto-commits, and a journaled 10^6-note load
-/// pays millions of syncs.
-class ScoreBatchScope {
- public:
-  explicit ScoreBatchScope(er::Database* db)
-      : db_(db), latch_(db->latch()) {
-    db_->BeginStatementGroup();
-  }
-  ~ScoreBatchScope() {
-    if (!ended_) (void)db_->EndStatementGroup();
-  }
-  /// Commits the group, releases the latch, and waits for durability.
-  Status Commit() {
-    ended_ = true;
-    Result<uint64_t> lsn = db_->EndStatementGroup();
-    latch_.unlock();
-    MDM_RETURN_IF_ERROR(lsn.status());
-    return db_->WaitDurable(*lsn);
-  }
-
- private:
-  er::Database* db_;
-  std::unique_lock<std::shared_mutex> latch_;
-  bool ended_ = false;
-};
-
 }  // namespace
 
 Result<Corpus> LoadCorpus(er::Database* db, const LoadOptions& options) {
@@ -128,8 +96,12 @@ Result<Corpus> LoadCorpus(er::Database* db, const LoadOptions& options) {
   for (int i = 0; i < std::max(1, options.spec.scores); ++i) {
     ScoreSpec spec = DeriveScoreSpec(options.spec, i);
     GeneratedScore gen = GenerateScore(spec);
-    // One WAL transaction per score (see ScoreBatchScope).
-    ScoreBatchScope batch(db);
+    // One score's import = ONE WriteTxn = one WAL transaction with a
+    // single (group-committable) fsync. Without it, every
+    // CreateEntity/SetAttribute inside the DARMS importer commits and
+    // publishes on its own, and a journaled 10^6-note load pays
+    // millions of syncs.
+    er::WriteTxn txn(db);
 
     TenantModel model;
     model.tenant = i;
@@ -180,7 +152,7 @@ Result<Corpus> LoadCorpus(er::Database* db, const LoadOptions& options) {
     entry.measure_count = model.measures;
     entry.incipit = model.incipit;
     MDM_RETURN_IF_ERROR(biblio::AddEntry(db, catalog, entry).status());
-    MDM_RETURN_IF_ERROR(batch.Commit());
+    MDM_RETURN_IF_ERROR(txn.Commit());
 
     corpus.total_notes += model.notes;
     corpus.total_rests += import.rests;

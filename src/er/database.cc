@@ -44,7 +44,6 @@ struct IndexCounters {
 struct SnapCounters {
   obs::Counter* publishes;
   obs::Counter* reads;
-  obs::Counter* pin_fallbacks;
   obs::Counter* index_fallbacks;
   static const SnapCounters& Get() {
     static SnapCounters c = {
@@ -54,10 +53,6 @@ struct SnapCounters {
         obs::Registry::Global()->GetCounter(
             "mdm_er_snapshot_reads_total",
             "Read scopes served from a pinned snapshot (no db latch)"),
-        obs::Registry::Global()->GetCounter(
-            "mdm_er_snapshot_pin_fallbacks_total",
-            "Snapshot pins refused (unpublished mutations, no disciplined "
-            "writer); reader fell back to the shared latch"),
         obs::Registry::Global()->GetCounter(
             "mdm_index_snapshot_fallbacks_total",
             "Snapshot index probes degraded to a type scan by an "
@@ -160,25 +155,13 @@ const Tables& Database::ReadTables() const {
   return live_;
 }
 
-std::shared_ptr<const Tables> Database::TryPinSnapshot() const {
-  // Unpublished mutations with no disciplined writer mid-flight mean a
-  // caller mutated through the direct API without guards; serving the
-  // stale snapshot would hide those writes from its own thread.
-  if (ops_applied_.load(std::memory_order_acquire) !=
-          published_ops_.load(std::memory_order_acquire) &&
-      !writer_active_.load(std::memory_order_acquire)) {
-    SnapCounters::Get().pin_fallbacks->Inc();
-    return nullptr;
-  }
+std::shared_ptr<const Tables> Database::PinSnapshot() const {
   std::lock_guard<std::mutex> lock(snap_mu_);
   return published_;
 }
 
 void Database::PublishSnapshot() {
-  if (published_ != nullptr &&
-      ops_applied_.load(std::memory_order_relaxed) ==
-          published_ops_.load(std::memory_order_relaxed))
-    return;  // nothing changed since the last publish
+  if (!dirty_) return;  // nothing changed since the last publish
   RefreshIndexEpochs();
   auto snap = std::make_shared<const Tables>(live_);
   {
@@ -186,9 +169,7 @@ void Database::PublishSnapshot() {
     published_ = std::move(snap);
   }
   ++publish_gen_;
-  snapshot_epoch_.fetch_add(1, std::memory_order_relaxed);
-  published_ops_.store(ops_applied_.load(std::memory_order_relaxed),
-                       std::memory_order_release);
+  dirty_ = false;
   SnapCounters::Get().publishes->Inc();
 }
 
@@ -213,13 +194,7 @@ Database& Database::operator=(Database&& other) noexcept {
   live_ = std::move(other.live_);
   published_ = std::move(other.published_);
   publish_gen_ = other.publish_gen_;
-  snapshot_epoch_.store(other.snapshot_epoch_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  ops_applied_.store(other.ops_applied_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  published_ops_.store(other.published_ops_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-  writer_active_.store(false, std::memory_order_relaxed);
+  dirty_ = other.dirty_;
   attr_index_enabled_.store(
       other.attr_index_enabled_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
@@ -237,10 +212,7 @@ Database& Database::operator=(Database&& other) noexcept {
   other.live_ = Tables();
   other.published_.reset();
   other.publish_gen_ = 1;
-  other.snapshot_epoch_.store(0, std::memory_order_relaxed);
-  other.ops_applied_.store(0, std::memory_order_relaxed);
-  other.published_ops_.store(0, std::memory_order_relaxed);
-  other.writer_active_.store(false, std::memory_order_relaxed);
+  other.dirty_ = true;
   other.bulk_index_load_.store(false, std::memory_order_relaxed);
   other.attr_erase_dirty_ = false;
   other.wal_ = nullptr;
@@ -439,63 +411,60 @@ Result<OrderingHandle> Database::ResolveOrderingHandle(
 // Journaling and commit plumbing.
 // ---------------------------------------------------------------------
 
+namespace {
+
+std::string EncodeOp(uint8_t op, const std::vector<uint8_t>& payload) {
+  std::string bytes(1, static_cast<char>(op));
+  bytes.append(payload.begin(), payload.end());
+  return bytes;
+}
+
+}  // namespace
+
+// Every public mutator calls LogOp exactly once, as its last effectful
+// step, so this is where an op ends: inside a statement group it joins
+// the group's transaction and waits for the group's publish; outside
+// one it is its own group — its own transaction and its own publish.
 Status Database::LogOp(Op op, const std::vector<uint8_t>& payload) {
-  // Counted even when no journal is attached (or during replay): this
-  // is the staleness fence TryPinSnapshot compares against.
-  ops_applied_.fetch_add(1, std::memory_order_release);
-  if (wal_ == nullptr || replaying_) return Status::OK();
-  ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(op));
-  w.PutBytes(payload.data(), payload.size());
-  std::string bytes(reinterpret_cast<const char*>(w.data().data()),
-                    w.size());
-  if (open_txn_ != 0) return wal_->LogOp(open_txn_, std::move(bytes));
+  dirty_ = true;
+  if (replaying_) return Status::OK();  // the caller publishes at the end
   if (group_active_) {
-    // Statement group: open the group's transaction lazily on the first
-    // journaled op; EndStatementGroup commits it.
-    if (coordinator_ != nullptr) group_flight_ = coordinator_->Open();
-    MDM_ASSIGN_OR_RETURN(open_txn_, wal_->Begin());
-    return wal_->LogOp(open_txn_, std::move(bytes));
+    if (wal_ == nullptr) return Status::OK();
+    if (open_txn_ == 0) {
+      // The group's transaction opens lazily on its first journaled op;
+      // EndStatementGroup commits it.
+      if (coordinator_ != nullptr) group_flight_ = coordinator_->Open();
+      MDM_ASSIGN_OR_RETURN(open_txn_, wal_->Begin());
+    }
+    return wal_->LogOp(open_txn_, EncodeOp(static_cast<uint8_t>(op), payload));
   }
-  // Auto-commit: each op is its own transaction. With a coordinator the
-  // fsync is group-amortized (we block here, latch held — correct but
-  // unbatched for single-threaded direct-API use; the executor's
-  // statement groups are the fast path).
+  // Visibility before durability, as at the end of a group: the op is
+  // applied whether or not its commit record made it, so it publishes
+  // either way, and the wait for the fsync comes last.
+  Result<uint64_t> lsn =
+      wal_ == nullptr ? Result<uint64_t>(0) : CommitAlone(op, payload);
+  PublishSnapshot();
+  MDM_RETURN_IF_ERROR(lsn.status());
+  return WaitDurable(*lsn);
+}
+
+Result<uint64_t> Database::CommitAlone(Op op,
+                                       const std::vector<uint8_t>& payload) {
   CommitCoordinator::Txn flight;
   if (coordinator_ != nullptr) flight = coordinator_->Open();
   MDM_ASSIGN_OR_RETURN(uint64_t txn, wal_->Begin());
-  MDM_RETURN_IF_ERROR(wal_->LogOp(txn, std::move(bytes)));
-  if (coordinator_ != nullptr) {
-    MDM_ASSIGN_OR_RETURN(uint64_t lsn, wal_->CommitNoSync(txn));
-    flight.Committed(lsn);
-    return coordinator_->WaitDurable(lsn);
+  MDM_RETURN_IF_ERROR(
+      wal_->LogOp(txn, EncodeOp(static_cast<uint8_t>(op), payload)));
+  if (coordinator_ == nullptr) {
+    MDM_RETURN_IF_ERROR(wal_->Commit(txn));
+    return 0;
   }
-  return wal_->Commit(txn);
+  MDM_ASSIGN_OR_RETURN(uint64_t lsn, wal_->CommitNoSync(txn));
+  flight.Committed(lsn);
+  return lsn;
 }
 
-Status Database::BeginTxn() {
-  if (wal_ == nullptr) return FailedPrecondition("no journal attached");
-  if (open_txn_ != 0) return FailedPrecondition("transaction already open");
-  MDM_ASSIGN_OR_RETURN(open_txn_, wal_->Begin());
-  return Status::OK();
-}
-
-Status Database::CommitTxn() {
-  if (open_txn_ == 0) return FailedPrecondition("no open transaction");
-  uint64_t txn = open_txn_;
-  open_txn_ = 0;
-  return wal_->Commit(txn);
-}
-
-void Database::BeginStatementGroup() {
-  // Direct-API mutations made before the group (no guard, so never
-  // published) must be published before the writer is marked active:
-  // from then on TryPinSnapshot serves the published snapshot, which
-  // would otherwise hide them from readers mid-group.
-  PublishSnapshot();
-  writer_active_.store(true, std::memory_order_release);
-  group_active_ = true;
-}
+void Database::BeginStatementGroup() { group_active_ = true; }
 
 Result<uint64_t> Database::EndStatementGroup() {
   group_active_ = false;
@@ -520,7 +489,6 @@ Result<uint64_t> Database::EndStatementGroup() {
   // Visibility before durability (async-commit style): the new state is
   // published now; the caller acks only after WaitDurable returns.
   PublishSnapshot();
-  writer_active_.store(false, std::memory_order_release);
   if (!commit.ok()) return commit;
   return lsn;
 }
@@ -1287,8 +1255,8 @@ std::vector<EntityId> Database::IndexLookup(const AttrIndex& index,
   IndexCounters::Get().lookups->Inc();
   const Tables& t = ReadTables();
   if (&t == &live_) {
-    // Live read: the caller holds the db latch (shared or exclusive),
-    // which already excludes tree maintenance (exclusive latch).
+    // Live read: the caller is the writer (or otherwise excludes it),
+    // so no tree maintenance can interleave.
     return index.tree.Find(AttrKeyFor(key));
   }
   // Snapshot probe. The tree is shared mutable state, so synchronize
@@ -1407,8 +1375,12 @@ Result<uint64_t> Database::EndBulkIndexLoad() {
     // The tree changed wholesale: fence any snapshot published earlier.
     ix.erase_epoch.fetch_add(1, std::memory_order_release);
     attr_erase_dirty_ = true;
+    dirty_ = true;
     ++rebuilt;
   }
+  // No op is logged, so publish here: the refreshed epochs let snapshot
+  // probes use the rebuilt trees again.
+  if (!group_active_) PublishSnapshot();
   return rebuilt;
 }
 
@@ -1657,13 +1629,15 @@ Status Database::Restore(ByteReader* r, Database* out) {
       MDM_RETURN_IF_ERROR(r->GetString(&def.name));
       MDM_RETURN_IF_ERROR(r->GetString(&def.entity_type));
       MDM_RETURN_IF_ERROR(r->GetString(&def.attr));
-      MDM_RETURN_IF_ERROR(out->DefineIndex(std::move(def)));
+      out->replaying_ = true;  // publish once, below
+      Status defined = out->DefineIndex(std::move(def));
+      out->replaying_ = false;
+      MDM_RETURN_IF_ERROR(defined);
     }
   }
-  // The direct container fills above bypass LogOp, so force the ops
-  // fence forward before publishing (readers must see the restored
-  // state, not the empty ctor snapshot).
-  out->ops_applied_.fetch_add(1, std::memory_order_release);
+  // The direct container fills above bypass LogOp: publish them, so
+  // readers see the restored state, not the empty ctor snapshot.
+  out->dirty_ = true;
   out->PublishSnapshot();
   return Status::OK();
 }
@@ -1793,9 +1767,32 @@ Status Database::ReplayJournal(const std::vector<uint8_t>& log) {
         return ApplyOp(rec);
       });
   replaying_ = false;
-  PublishSnapshot();
+  // The whole replay is one op for visibility: published once, here,
+  // or by the enclosing group's end.
+  if (!group_active_) PublishSnapshot();
   if (!n.ok()) return n.status();
   return Status::OK();
+}
+
+// ---------------------------------------------------------------------
+// The write bracket.
+// ---------------------------------------------------------------------
+
+WriteTxn::WriteTxn(Database* db) : db_(db), latch_(db->latch()) {
+  db_->BeginStatementGroup();
+}
+
+WriteTxn::~WriteTxn() {
+  if (!ended_) (void)db_->EndStatementGroup();
+}
+
+Status WriteTxn::Commit() {
+  if (ended_) return FailedPrecondition("write transaction already ended");
+  ended_ = true;
+  Result<uint64_t> lsn = db_->EndStatementGroup();
+  latch_.unlock();
+  MDM_RETURN_IF_ERROR(lsn.status());
+  return db_->WaitDurable(*lsn);
 }
 
 }  // namespace mdm::er

@@ -261,25 +261,19 @@ struct Tables {
 /// commits: the fsync is amortized over every thread committing in the
 /// same window (docs/WRITEPATH.md).
 ///
-/// Thread safety — EXTERNAL locking via `latch()`, plus latch-free
-/// snapshot reads:
+/// Thread safety — one write bracket, one read path:
 ///
 /// Methods do not lock internally (they call each other and replay the
 /// journal through the same code paths; self-locking would deadlock).
-/// Every concurrent MUTATOR brackets calls with the latch held
-/// exclusively, and whoever releases the exclusive latch publishes
-/// first (er::WriteGuard and the QUEL executor do both for you).
-/// Readers have two modes:
-///
-///  * shared latch (ReadGuard) — reads the live tables; always correct,
-///    blocks behind writers;
-///  * pinned snapshot (TryPinSnapshot + SnapshotReadScope) — reads the
-///    last published Tables with NO db latch at all; never blocks, and
-///    never observes a half-applied statement. TryPinSnapshot refuses
-///    (returns null) when un-published mutations exist without an
-///    active disciplined writer, so undisciplined single-threaded
-///    mutation (direct API, no guards) degrades readers to the shared
-///    latch instead of serving them stale data.
+/// Every concurrent mutator brackets its calls with an er::WriteTxn
+/// (below): the exclusive latch plus one statement group, published
+/// before the latch drops. Every concurrent reader pins the last
+/// published snapshot (PinSnapshot + SnapshotReadScope) and reads it
+/// with NO db latch: it never blocks and never observes a half-applied
+/// statement. A mutation made outside any statement group is its own
+/// group, for commit and for visibility alike: it publishes as soon as
+/// it is applied, so a single-threaded caller of the direct API reads
+/// its own writes through a pin too.
 ///
 /// Moving a Database (move construction/assignment) is NOT
 /// latch-protected — quiesce all sessions first. See
@@ -293,8 +287,9 @@ class Database {
   Database(Database&& other) noexcept;
   Database& operator=(Database&& other) noexcept;
 
-  /// The database-wide reader-writer latch (see class comment). Mutable
-  /// so read-side guards can be taken on a const Database&.
+  /// The database-wide writer latch (see class comment); WriteTxn
+  /// holds it exclusively. Mutable so it can be taken on a const
+  /// Database&.
   std::shared_mutex& latch() const { return mu_; }
 
   // ------------------------------------------------------------------
@@ -506,8 +501,10 @@ class Database {
   /// reports no indexes (stale trees must not serve probes); End
   /// rebuilds every tree from the entity data in one backfill pass per
   /// index and returns how many trees were rebuilt. Both are mutators
-  /// (exclusive latch). Durability is unaffected: the journal logs the
-  /// data ops, and recovery re-backfills indexes anyway.
+  /// (exclusive latch); outside a statement group, End publishes like
+  /// any other mutation, so snapshot probes see the rebuilt trees.
+  /// Durability is unaffected: the journal logs the data ops, and
+  /// recovery re-backfills indexes anyway.
   void BeginBulkIndexLoad();
   Result<uint64_t> EndBulkIndexLoad();
   bool bulk_index_load_active() const {
@@ -519,17 +516,9 @@ class Database {
   // ------------------------------------------------------------------
 
   /// Pins the last published snapshot: a short snap-mutex critical
-  /// section, never the db latch. Returns null when no snapshot can be
-  /// served faithfully (unpublished mutations with no disciplined
-  /// writer active) — fall back to a shared-latch live read.
-  std::shared_ptr<const Tables> TryPinSnapshot() const;
-
-  /// Copies the live tables into the published snapshot slot and opens
-  /// a fresh copy-on-write generation. Callers MUST hold the exclusive
-  /// latch (or be the only thread touching the database). Whoever
-  /// releases the exclusive latch publishes first — WriteGuard and the
-  /// QUEL executor enforce this.
-  void PublishSnapshot();
+  /// section, never the db latch. Never null: the constructor
+  /// publishes, and so does every mutation outside a statement group.
+  std::shared_ptr<const Tables> PinSnapshot() const;
 
   /// Changes whenever the schema or the set of secondary indexes does,
   /// and only then (an index's erase-epoch refresh leaves it alone).
@@ -539,29 +528,6 @@ class Database {
   /// statement when it moves, so a cached AttrIndex* never outlives the
   /// index set it was found in.
   uint64_t catalog_version() const;
-
-  /// Monotone count of published snapshots (the reader-visible epoch).
-  uint64_t snapshot_epoch() const {
-    return snapshot_epoch_.load(std::memory_order_relaxed);
-  }
-
-  /// Brackets a disciplined direct-API writer (the exclusive latch is
-  /// held throughout): Begin marks a writer active so TryPinSnapshot
-  /// keeps serving the last published state instead of refusing; End
-  /// publishes and clears the mark. er::WriteGuard calls these — prefer
-  /// it over calling them directly. Unlike statement groups, these do
-  /// NOT change commit semantics (each journaled op still auto-commits).
-  /// Begin first publishes unguarded mutations made before the scope
-  /// (no-op when there are none), for the same reason as
-  /// BeginStatementGroup.
-  void BeginWriteScope() {
-    PublishSnapshot();
-    writer_active_.store(true, std::memory_order_release);
-  }
-  void EndWriteScope() {
-    PublishSnapshot();
-    writer_active_.store(false, std::memory_order_release);
-  }
 
   // ------------------------------------------------------------------
   // Durability.
@@ -578,18 +544,17 @@ class Database {
     coordinator_ = c;
   }
   CommitCoordinator* commit_coordinator() const { return coordinator_; }
-  /// Groups subsequent ops into one transaction until CommitTxn.
-  Status BeginTxn();
-  Status CommitTxn();
 
-  /// Statement groups — the executor's commit bracket. Between Begin
-  /// and End, journaled ops accumulate in ONE WAL transaction (opened
+  /// Statement groups — the commit bracket WriteTxn is built on; use
+  /// WriteTxn rather than calling these directly. Between Begin and
+  /// End, journaled ops accumulate in ONE WAL transaction (opened
   /// lazily on the first op), so a statement — or a whole batch — is
-  /// crash-atomic: recovery applies all of it or none of it.
-  /// EndStatementGroup writes the commit record (unsynced when a
-  /// coordinator is attached), publishes the snapshot, and returns the
-  /// commit LSN to pass to WaitDurable AFTER releasing the latch (0
-  /// when there is nothing to sync). Both require the exclusive latch.
+  /// crash-atomic: recovery applies all of it or none of it, and
+  /// readers see none of it until End publishes. EndStatementGroup
+  /// writes the commit record (unsynced when a coordinator is
+  /// attached), publishes the snapshot, and returns the commit LSN to
+  /// pass to WaitDurable AFTER releasing the latch (0 when there is
+  /// nothing to sync). Both require the exclusive latch.
   void BeginStatementGroup();
   Result<uint64_t> EndStatementGroup();
   /// Blocks until the group commit covering `lsn` has fsynced (no-op
@@ -621,6 +586,12 @@ class Database {
 
  private:
   friend class SnapshotReadScope;
+
+  /// Copies the live tables into the published snapshot slot and opens
+  /// a fresh copy-on-write generation; a no-op when nothing changed
+  /// since the last publish. Runs where a group ends: EndStatementGroup,
+  /// LogOp outside a group, EndBulkIndexLoad, ReplayJournal, Restore.
+  void PublishSnapshot();
 
   // Journal opcodes.
   enum class Op : uint8_t {
@@ -681,6 +652,9 @@ class Database {
   // Re-captures AttrIndex::erase_epoch into the IndexSlots before a
   // publish, when any erase happened since the last one.
   void RefreshIndexEpochs();
+  // The journal transaction of one op outside a statement group;
+  // returns the commit LSN to wait on (0 when already synced).
+  Result<uint64_t> CommitAlone(Op op, const std::vector<uint8_t>& payload);
 
   mutable std::shared_mutex mu_;  // see latch()
 
@@ -694,14 +668,11 @@ class Database {
   // Copy-on-write window stamp: structures with gen == publish_gen_ are
   // private to the window since the last publish and mutate in place.
   uint64_t publish_gen_ = 1;
-  std::atomic<uint64_t> snapshot_epoch_{0};
-  // Staleness fence for TryPinSnapshot: total mutations applied vs
-  // mutations covered by the published snapshot, and whether a
-  // disciplined writer (statement group) is mid-flight (its publish is
-  // coming; the published snapshot is the last committed state).
-  std::atomic<uint64_t> ops_applied_{0};
-  std::atomic<uint64_t> published_ops_{0};
-  std::atomic<bool> writer_active_{false};
+  // The live tables differ from the published ones: an op was applied
+  // or an index epoch moved since the last publish. Writer-only (the
+  // exclusive latch, or the only thread touching the database); starts
+  // true so the constructor publishes the empty tables.
+  bool dirty_ = true;
 
   std::atomic<bool> attr_index_enabled_{true};
   std::atomic<bool> bulk_index_load_{false};
@@ -734,6 +705,42 @@ class SnapshotReadScope {
   std::shared_ptr<const Tables> tables_;  // keeps the snapshot alive
   const Database* prev_db_;
   const Tables* prev_tables_;
+};
+
+/// The one write bracket: holds the exclusive db latch and one open
+/// statement group for its lifetime, so everything done through it
+/// commits as one WAL transaction and becomes visible to readers at
+/// once. Commit() ends the group (commit record, then publish),
+/// releases the latch, and only then waits for group-commit
+/// durability, so concurrent committers share one fsync. Dropped
+/// without Commit(), it still ends the group (the applied prefix
+/// commits and publishes: the redo-only WAL cannot undo it) and
+/// unlocks without waiting.
+///
+///   er::WriteTxn txn(&db);
+///   txn->AppendChild(h, chord, note);
+///   MDM_RETURN_IF_ERROR(txn.Commit());
+///
+/// WriteTxns do not nest, and a thread holding one must not call a
+/// QuelSession's Execute on the same database: the latch is not
+/// recursive.
+class WriteTxn {
+ public:
+  explicit WriteTxn(Database* db);
+  ~WriteTxn();
+  WriteTxn(const WriteTxn&) = delete;
+  WriteTxn& operator=(const WriteTxn&) = delete;
+
+  /// Ends the group, releases the latch, then waits until the commit is
+  /// durable. Call at most once.
+  Status Commit();
+
+  Database* operator->() const { return db_; }
+
+ private:
+  Database* db_;
+  std::unique_lock<std::shared_mutex> latch_;
+  bool ended_ = false;
 };
 
 }  // namespace mdm::er

@@ -1,7 +1,5 @@
 #include "net/connection.h"
 
-#include <mutex>
-#include <shared_mutex>
 #include <utility>
 
 #include "common/strings.h"
@@ -36,9 +34,8 @@ quel::ResultSet DdlSummary(const ddl::DdlResult& ddl) {
   return rs;
 }
 
-/// Dispatches one script with the exclusive db latch already held and
-/// an er statement group open — the shape both the batch path and the
-/// latched DDL path execute under.
+/// Dispatches one script inside the caller's er::WriteTxn — the shape
+/// both the batch path and the DDL path execute under.
 Result<quel::ResultSet> RunStatementPreLocked(er::Database* db,
                                               quel::QuelSession* session,
                                               const std::string& script) {
@@ -55,21 +52,12 @@ Result<quel::ResultSet> RunScript(er::Database* db,
                                   quel::QuelSession* session,
                                   const std::string& script) {
   if (IsDdlScript(script)) {
-    // DDL mutates schema state shared with every reader, so it takes
-    // the exclusive latch and commits through a statement group exactly
-    // like a QUEL write (historically it ran unlatched, racing against
-    // concurrent QUEL sessions on the same database).
-    Result<quel::ResultSet> rs = quel::ResultSet{};
-    Result<uint64_t> lsn = 0;
-    {
-      std::unique_lock<std::shared_mutex> latch(db->latch());
-      db->BeginStatementGroup();
-      rs = RunStatementPreLocked(db, session, script);
-      lsn = db->EndStatementGroup();
-    }
-    MDM_RETURN_IF_ERROR(rs.status());
-    MDM_RETURN_IF_ERROR(lsn.status());
-    MDM_RETURN_IF_ERROR(db->WaitDurable(*lsn));
+    // DDL mutates schema state shared with every reader, so it commits
+    // through one WriteTxn exactly like a QUEL write.
+    er::WriteTxn txn(db);
+    MDM_ASSIGN_OR_RETURN(quel::ResultSet rs,
+                         RunStatementPreLocked(db, session, script));
+    MDM_RETURN_IF_ERROR(txn.Commit());
     return rs;
   }
   return session->Execute(script);
@@ -80,32 +68,24 @@ Result<BatchResult> RunBatch(er::Database* db, quel::QuelSession* session,
   BatchResult out;
   out.submitted = scripts.size();
   out.statements.reserve(scripts.size());
-  Result<uint64_t> lsn = 0;
-  {
-    std::unique_lock<std::shared_mutex> latch(db->latch());
-    db->BeginStatementGroup();
-    for (const std::string& script : scripts) {
-      Result<quel::ResultSet> rs =
-          RunStatementPreLocked(db, session, script);
-      if (!rs.ok()) {
-        // Prefix-stop: earlier statements stay applied and commit with
-        // the group (redo-only WAL has no statement-level undo); the
-        // tail after the failure never runs.
-        out.statements.push_back({rs.status(), 0});
-        out.last = quel::ResultSet{};
-        break;
-      }
-      out.statements.push_back({Status::OK(), rs->affected});
-      out.last = std::move(*rs);
+  er::WriteTxn txn(db);
+  for (const std::string& script : scripts) {
+    Result<quel::ResultSet> rs = RunStatementPreLocked(db, session, script);
+    if (!rs.ok()) {
+      // Prefix-stop: earlier statements stay applied and commit with
+      // the group (redo-only WAL has no statement-level undo); the
+      // tail after the failure never runs.
+      out.statements.push_back({rs.status(), 0});
+      out.last = quel::ResultSet{};
+      break;
     }
-    // The group always ends — even after a failed statement — so the
-    // latch is never released with a transaction half-open.
-    lsn = db->EndStatementGroup();
+    out.statements.push_back({Status::OK(), rs->affected});
+    out.last = std::move(*rs);
   }
-  MDM_RETURN_IF_ERROR(lsn.status());
-  // One durability wait for the whole batch, after the latch is gone:
-  // the group-commit coordinator folds it into a shared fsync.
-  MDM_RETURN_IF_ERROR(db->WaitDurable(*lsn));
+  // The group always commits — even after a failed statement — with one
+  // durability wait for the whole batch, after the latch is gone: the
+  // group-commit coordinator folds it into a shared fsync.
+  MDM_RETURN_IF_ERROR(txn.Commit());
   return out;
 }
 

@@ -2,7 +2,6 @@
 #include <chrono>
 #include <mutex>
 #include <set>
-#include <shared_mutex>
 
 #include "common/strings.h"
 #include "obs/metrics.h"
@@ -52,16 +51,12 @@ struct QuelCounters {
 /// should show snapshot_reads rising while exclusive stays flat.
 struct LatchCounters {
   obs::Counter* exclusive;
-  obs::Counter* shared;
   obs::Counter* snapshot_reads;
   static const LatchCounters& Get() {
     static LatchCounters c = {
         obs::Registry::Global()->GetCounter(
             "mdm_quel_exclusive_latch_total",
             "Statements executed under the exclusive db latch"),
-        obs::Registry::Global()->GetCounter(
-            "mdm_quel_shared_latch_total",
-            "Read statements that fell back to the shared db latch"),
         obs::Registry::Global()->GetCounter(
             "mdm_quel_snapshot_reads_total",
             "Read statements served from a pinned snapshot (no latch)")};
@@ -714,45 +709,28 @@ Result<ResultSet> QuelSession::Run(const std::string& script, bool pushdown,
                          stmt.kind == Statement::Kind::kReplace ||
                          stmt.kind == Statement::Kind::kDelete;
     if (mode == LatchMode::kPreLocked) {
-      // Batch path: the caller holds the exclusive latch and an open
-      // statement group around the whole batch.
+      // Batch path: the caller holds a WriteTxn around the whole batch.
       MDM_RETURN_IF_ERROR(
           RunStatement(*entry, i, params, pushdown, &ranges, &last));
     } else if (mutates) {
-      // One statement = one statement group = one WAL transaction:
-      // crash-atomic, published before the latch drops, and the
-      // group-commit fsync wait happens OUTSIDE the latch so concurrent
-      // committers batch into one fsync instead of serializing on it.
-      Status run;
-      Result<uint64_t> commit_lsn = 0;
-      {
-        std::unique_lock<std::shared_mutex> write_latch(db_->latch());
-        LatchCounters::Get().exclusive->Inc();
-        db_->BeginStatementGroup();
-        run = RunStatement(*entry, i, params, pushdown, &ranges, &last);
-        // On error the group still ends: the logged prefix commits
-        // (redo-only WAL — applied effects cannot be unapplied) and the
-        // snapshot is published, keeping state and journal agreed.
-        commit_lsn = db_->EndStatementGroup();
-      }
-      MDM_RETURN_IF_ERROR(run);
-      MDM_RETURN_IF_ERROR(commit_lsn.status());
-      MDM_RETURN_IF_ERROR(db_->WaitDurable(*commit_lsn));
+      // One statement = one WriteTxn = one WAL transaction: crash-atomic,
+      // published before the latch drops, and the group-commit fsync
+      // wait happens OUTSIDE the latch so concurrent committers batch
+      // into one fsync instead of serializing on it. On error the
+      // dropped txn still ends the group: the logged prefix commits
+      // (redo-only WAL — applied effects cannot be unapplied) and is
+      // published, keeping state and journal agreed.
+      er::WriteTxn txn(db_);
+      LatchCounters::Get().exclusive->Inc();
+      MDM_RETURN_IF_ERROR(
+          RunStatement(*entry, i, params, pushdown, &ranges, &last));
+      MDM_RETURN_IF_ERROR(txn.Commit());
     } else {
-      // Read-only statement: serve from a pinned snapshot with no db
-      // latch when possible, else fall back to the shared latch.
-      std::shared_ptr<const er::Tables> snap = db_->TryPinSnapshot();
-      if (snap != nullptr) {
-        LatchCounters::Get().snapshot_reads->Inc();
-        er::SnapshotReadScope scope(db_, std::move(snap));
-        MDM_RETURN_IF_ERROR(
-            RunStatement(*entry, i, params, pushdown, &ranges, &last));
-      } else {
-        std::shared_lock<std::shared_mutex> read_latch(db_->latch());
-        LatchCounters::Get().shared->Inc();
-        MDM_RETURN_IF_ERROR(
-            RunStatement(*entry, i, params, pushdown, &ranges, &last));
-      }
+      // Read-only statement: served from a pinned snapshot, no db latch.
+      LatchCounters::Get().snapshot_reads->Inc();
+      er::SnapshotReadScope scope(db_, db_->PinSnapshot());
+      MDM_RETURN_IF_ERROR(
+          RunStatement(*entry, i, params, pushdown, &ranges, &last));
     }
   }
   return last;

@@ -212,12 +212,11 @@ struct CachedPlan;
 /// from many sessions sharing one database (the normal multi-client
 /// shape, one session per client thread) or from threads sharing one
 /// session (the plan cache and range declarations are mutex-guarded;
-/// the counters are atomics). Each statement runs under the database
-/// latch: shared for range/retrieve, exclusive for append/replace/
-/// delete, so retrieves see snapshot-consistent states and mutating
-/// statements are serialized. Consequently, do NOT call Execute while
-/// holding an er::ReadGuard/WriteGuard on the same database — the
-/// latch is not recursive.
+/// the counters are atomics). A range or retrieve reads a pinned
+/// snapshot and takes no latch; an append, replace or delete runs in
+/// its own er::WriteTxn, so mutating statements are serialized.
+/// Consequently, do NOT call Execute while holding an er::WriteTxn on
+/// the same database — the latch is not recursive.
 class QuelSession {
  public:
   explicit QuelSession(er::Database* db) : db_(db) {}
@@ -228,12 +227,11 @@ class QuelSession {
   /// Executes a script of one or more statements; returns the result of
   /// the last retrieve (or an empty/affected-count result).
   ///
-  /// Latching (docs/WRITEPATH.md): read-only statements first try to
-  /// pin the published snapshot and run with NO db latch at all,
-  /// falling back to the shared latch only when no faithful snapshot is
-  /// available; mutating statements take the exclusive latch, run as
-  /// one statement group (one WAL transaction, crash-atomic), publish,
-  /// release the latch, and only then wait for group-commit durability.
+  /// Latching (docs/WRITEPATH.md): read-only statements pin the
+  /// published snapshot and run with NO db latch at all; each mutating
+  /// statement runs in one er::WriteTxn (one WAL transaction,
+  /// crash-atomic), which publishes, releases the latch, and only then
+  /// waits for group-commit durability.
   Result<ResultSet> Execute(const std::string& script);
 
   /// Executes with conjunct push-down disabled — the full cross product
@@ -242,11 +240,10 @@ class QuelSession {
   Result<ResultSet> ExecuteNaive(const std::string& script);
 
   /// Executes a script with NO latching or commit bracketing of its
-  /// own: the caller already holds the database latch exclusively and
-  /// has an open statement group (mdm::Connection's batch path, which
-  /// runs N scripts under one latch acquisition and one group-committed
-  /// fsync). Retrieves inside the batch read the live tables, so they
-  /// see the batch's own earlier writes.
+  /// own: the caller already holds an er::WriteTxn (mdm::Connection's
+  /// batch path, which runs N scripts under one WriteTxn and one
+  /// group-committed fsync). Retrieves inside the batch read the live
+  /// tables, so they see the batch's own earlier writes.
   Result<ResultSet> ExecutePreLocked(const std::string& script);
 
   /// Declared (explicit) range variables: name -> entity/relationship
@@ -300,8 +297,8 @@ class QuelSession {
  private:
   /// How Run acquires the database latch around each statement.
   enum class LatchMode {
-    kAuto,       // per-statement: snapshot/shared read, exclusive write
-    kPreLocked,  // caller holds the exclusive latch + statement group
+    kAuto,       // per-statement: pinned read, WriteTxn write
+    kPreLocked,  // caller holds an er::WriteTxn
   };
 
   using Ranges = std::map<std::string, std::string>;

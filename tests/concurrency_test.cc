@@ -30,7 +30,6 @@
 #include "er/database.h"
 #include "er/persist.h"
 #include "er/pmap.h"
-#include "er/session.h"
 #include "obs/metrics.h"
 #include "net/connection.h"
 #include "quel/quel.h"
@@ -141,23 +140,22 @@ TEST_P(DeterministicScheduleTest, ReadersSeeExactPrePostMutationStates) {
     model.push_back(note);
   }
   OrderingHandle h = *db.ResolveOrderingHandle("note_in_chord");
-  er::Session session(&db);
 
   constexpr int kReaders = 3;
   constexpr int kTurnsPerWorker = 32;
   TurnScheduler sched;
   std::atomic<int> failures{0};
 
-  // Worker 0: one full rotation per turn, inside ONE WriteGuard, so no
+  // Worker 0: one full rotation per turn, inside ONE WriteTxn, so no
   // reader may observe the half-rotated (note detached) state. `model`
   // is only touched by the turn holder; the scheduler's mutex orders it.
   auto mutator = [&] {
     while (sched.AwaitTurn(0)) {
       EntityId first = model.front();
       {
-        auto w = session.Write();
-        if (!w->RemoveChild(h, first).ok() ||
-            !w->AppendChild(h, chord, first).ok())
+        er::WriteTxn txn(&db);
+        if (!txn->RemoveChild(h, first).ok() ||
+            !txn->AppendChild(h, chord, first).ok() || !txn.Commit().ok())
           failures.fetch_add(1);
       }
       model.erase(model.begin());
@@ -167,16 +165,16 @@ TEST_P(DeterministicScheduleTest, ReadersSeeExactPrePostMutationStates) {
   };
   auto reader = [&](int id) {
     while (sched.AwaitTurn(id)) {
-      auto r = session.Read();
-      auto kids = r->Children(h, chord);
+      er::SnapshotReadScope pin(&db, db.PinSnapshot());
+      auto kids = db.Children(h, chord);
       if (!kids.ok() || *kids != model) failures.fetch_add(1);
       // Every pairwise predicate must agree with the model order.
       for (size_t i = 0; i < model.size(); ++i) {
-        auto pos = r->PositionOf(h, model[i]);
+        auto pos = db.PositionOf(h, model[i]);
         if (!pos.ok() || *pos != i) failures.fetch_add(1);
         for (size_t j = i + 1; j < model.size(); ++j) {
-          auto before = r->Before(h, model[i], model[j]);
-          auto after = r->After(h, model[i], model[j]);
+          auto before = db.Before(h, model[i], model[j]);
+          auto after = db.After(h, model[i], model[j]);
           if (!before.ok() || !*before) failures.fetch_add(1);
           if (!after.ok() || *after) failures.fetch_add(1);
         }
@@ -202,9 +200,9 @@ INSTANTIATE_TEST_SUITE_P(SeededSchedules, DeterministicScheduleTest,
 // ----------------------------------------------------------------------
 // Free-running: snapshot reads are never torn. A mutator thread swaps
 // two siblings and reparents a subtree between two roots (each change
-// one atomic WriteGuard); readers under one ReadGuard must always see
-// exactly one of the two legal states for each invariant — a torn rank
-// or interval snapshot breaks the XOR.
+// one atomic WriteTxn); readers of one pinned snapshot must always see
+// exactly one of the two legal states for each invariant — a torn
+// snapshot breaks the XOR.
 // ----------------------------------------------------------------------
 TEST(FreeRunningConcurrency, SnapshotReadsNeverTornUnderMutation) {
   Database db;
@@ -232,7 +230,6 @@ TEST(FreeRunningConcurrency, SnapshotReadsNeverTornUnderMutation) {
 
   OrderingHandle notes = *db.ResolveOrderingHandle("note_in_chord");
   OrderingHandle tree = *db.ResolveOrderingHandle("sec_tree");
-  er::Session session(&db);
 
   constexpr int kReaders = 4;
   constexpr int kReadsPerThread = 1200;
@@ -245,22 +242,24 @@ TEST(FreeRunningConcurrency, SnapshotReadsNeverTornUnderMutation) {
     uint64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       if (i++ % 2 == 0) {
-        // Swap x and y (complete swap under one guard).
-        auto w = session.Write();
-        auto pos = w->PositionOf(notes, x);
+        // Swap x and y (complete swap under one txn).
+        er::WriteTxn txn(&db);
+        auto pos = txn->PositionOf(notes, x);
         if (!pos.ok()) {
           violations.fetch_add(1);
           continue;
         }
         size_t target = *pos == 0 ? 1 : 0;
-        if (!w->RemoveChild(notes, x).ok() ||
-            !w->InsertChildAt(notes, chord, x, target).ok())
+        if (!txn->RemoveChild(notes, x).ok() ||
+            !txn->InsertChildAt(notes, chord, x, target).ok() ||
+            !txn.Commit().ok())
           violations.fetch_add(1);
       } else {
         // Reparent mid (and with it leaf) to the other root.
-        auto w = session.Write();
-        if (!w->RemoveChild(tree, mid).ok() ||
-            !w->AppendChild(tree, on_a ? root_b : root_a, mid).ok())
+        er::WriteTxn txn(&db);
+        if (!txn->RemoveChild(tree, mid).ok() ||
+            !txn->AppendChild(tree, on_a ? root_b : root_a, mid).ok() ||
+            !txn.Commit().ok())
           violations.fetch_add(1);
         on_a = !on_a;
       }
@@ -271,18 +270,18 @@ TEST(FreeRunningConcurrency, SnapshotReadsNeverTornUnderMutation) {
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
       for (int i = 0; i < kReadsPerThread; ++i) {
-        auto r = session.Read();
-        auto xy = r->Before(notes, x, y);
-        auto yx = r->Before(notes, y, x);
+        er::SnapshotReadScope pin(&db, db.PinSnapshot());
+        auto xy = db.Before(notes, x, y);
+        auto yx = db.Before(notes, y, x);
         // x and y always share the chord: exactly one order holds.
         if (!xy.ok() || !yx.ok() || (*xy == *yx)) violations.fetch_add(1);
-        auto za = r->After(notes, z, x);
+        auto za = db.After(notes, z, x);
         if (!za.ok() || !*za) violations.fetch_add(1);  // z stays last
-        auto ua = r->Under(tree, leaf, root_a);
-        auto ub = r->Under(tree, leaf, root_b);
+        auto ua = db.Under(tree, leaf, root_a);
+        auto ub = db.Under(tree, leaf, root_b);
         // leaf is under exactly one root at every committed state.
         if (!ua.ok() || !ub.ok() || (*ua == *ub)) violations.fetch_add(1);
-        auto um = r->Under(tree, leaf, mid);
+        auto um = db.Under(tree, leaf, mid);
         if (!um.ok() || !*um) violations.fetch_add(1);
         if (xy.ok() && *xy) states_seen.fetch_add(1);
       }
@@ -420,7 +419,7 @@ TEST(QuelConcurrency, SharedSessionParseCacheAndCountersExact) {
 // ----------------------------------------------------------------------
 // The write-path overhaul's headline read-side claim, asserted via the
 // latch counters: a read-only statement is served from a pinned
-// snapshot and takes NO latch at all — neither exclusive nor shared.
+// snapshot and takes NO latch at all.
 // ----------------------------------------------------------------------
 TEST(QuelConcurrency, ReadOnlyStatementsAcquireNoExclusiveLatch) {
   Database db;
@@ -433,11 +432,9 @@ TEST(QuelConcurrency, ReadOnlyStatementsAcquireNoExclusiveLatch) {
   obs::Registry* reg = obs::Registry::Global();
   obs::Counter* exclusive =
       reg->GetCounter("mdm_quel_exclusive_latch_total");
-  obs::Counter* shared = reg->GetCounter("mdm_quel_shared_latch_total");
   obs::Counter* snapshot =
       reg->GetCounter("mdm_quel_snapshot_reads_total");
   const uint64_t exclusive_before = exclusive->value();
-  const uint64_t shared_before = shared->value();
   const uint64_t snapshot_before = snapshot->value();
 
   constexpr int kReads = 50;
@@ -449,18 +446,16 @@ TEST(QuelConcurrency, ReadOnlyStatementsAcquireNoExclusiveLatch) {
 
   EXPECT_EQ(exclusive->value() - exclusive_before, 0u)
       << "a read-only statement took the exclusive db latch";
-  EXPECT_EQ(shared->value() - shared_before, 0u)
-      << "a read-only statement fell back to the shared latch "
-         "(no published snapshot?)";
   EXPECT_EQ(snapshot->value() - snapshot_before,
             static_cast<uint64_t>(kReads));
 }
 
 // ----------------------------------------------------------------------
-// Reader-never-blocks, the direct form: a writer HOLDS the exclusive
-// db latch while a reader executes a retrieve. The read must complete
-// (against the last published snapshot) while the latch is still held;
-// a reader that queues on the latch times out and fails the test.
+// Reader-never-blocks, the direct form: a writer HOLDS a WriteTxn (the
+// exclusive db latch) while a reader executes a retrieve. The read must
+// complete (against the last published snapshot, without the writer's
+// unpublished note) while the latch is still held; a reader that queues
+// on the latch times out and fails the test.
 // ----------------------------------------------------------------------
 TEST(QuelConcurrency, ReadersCompleteWhileWriterHoldsExclusiveLatch) {
   Database db;
@@ -471,8 +466,9 @@ TEST(QuelConcurrency, ReadersCompleteWhileWriterHoldsExclusiveLatch) {
     ASSERT_TRUE(
         setup.Execute(StrFormat("append to NOTE (name = %d)", i)).ok());
 
-  // Pose as a writer mid-mutation: exclusive latch held, no publishes.
-  std::unique_lock<std::shared_mutex> writer_latch(db.latch());
+  // A writer mid-mutation: its WriteTxn holds the latch, unpublished.
+  er::WriteTxn writer(&db);
+  ASSERT_TRUE(writer->CreateEntity("NOTE").ok());
 
   std::atomic<bool> read_ok{false};
   std::atomic<bool> read_done{false};
@@ -493,8 +489,10 @@ TEST(QuelConcurrency, ReadersCompleteWhileWriterHoldsExclusiveLatch) {
   const bool finished_under_latch =
       read_done.load(std::memory_order_acquire);
 
-  writer_latch.unlock();  // let a blocked reader finish so join() returns
+  // Release the latch, so a blocked reader finishes and join() returns.
+  const Status committed = writer.Commit();
   reader.join();
+  EXPECT_TRUE(committed.ok()) << committed.ToString();
   EXPECT_TRUE(finished_under_latch)
       << "reader blocked behind the exclusive latch instead of reading "
          "the published snapshot";
@@ -527,10 +525,12 @@ TEST(QuelConcurrency, OrderingSliceReadsExactlyThePinnedSnapshot) {
   constexpr int kBatch = 10;
   EntityId staff;
   {
-    er::WriteGuard w(db);
+    er::WriteTxn txn(&db);
     staff = MustCreate(&db, "STAFF", 1);
     for (int n = 0; n < kPinned; ++n)
-      ASSERT_TRUE(w->AppendChild(h, staff, MustCreate(&db, "NOTE", n)).ok());
+      ASSERT_TRUE(
+          txn->AppendChild(h, staff, MustCreate(&db, "NOTE", n)).ok());
+    ASSERT_TRUE(txn.Commit().ok());
   }
 
   const char* kUnder =
@@ -559,14 +559,14 @@ TEST(QuelConcurrency, OrderingSliceReadsExactlyThePinnedSnapshot) {
 
   Read under_pinned, after_pinned, before_pinned;
   {
-    er::WriteGuard w(db);
+    er::WriteTxn txn(&db);
     for (int n = 0; n < kBatch; ++n)
       ASSERT_TRUE(
-          w->InsertChildAt(h, staff, MustCreate(&db, "NOTE", 100 + n), 0)
+          txn->InsertChildAt(h, staff, MustCreate(&db, "NOTE", 100 + n), 0)
               .ok());
-    const EntityId note4 = *w->NthChild(h, staff, kBatch + 4);
-    ASSERT_TRUE(w->RemoveChild(h, note4).ok());
-    ASSERT_TRUE(w->InsertChildAt(h, staff, note4, 0).ok());
+    const EntityId note4 = *txn->NthChild(h, staff, kBatch + 4);
+    ASSERT_TRUE(txn->RemoveChild(h, note4).ok());
+    ASSERT_TRUE(txn->InsertChildAt(h, staff, note4, 0).ok());
     // The reader runs while the batch is unpublished and the latch held.
     std::thread reader([&] {
       run(kUnder, &under_pinned);
@@ -574,6 +574,7 @@ TEST(QuelConcurrency, OrderingSliceReadsExactlyThePinnedSnapshot) {
       run(kBeforeFilter, &before_pinned);
     });
     reader.join();
+    ASSERT_TRUE(txn.Commit().ok());
   }
 
   EXPECT_EQ(under_pinned.names, (std::vector<int64_t>{0, 1, 2, 3, 4}));
@@ -715,9 +716,9 @@ TEST(GroupCommitConcurrency, LoneCommitterPaysNoWindow) {
 
 // ----------------------------------------------------------------------
 // Recovery paths hold their locks correctly too: replaying a journal
-// into a live database under a WriteGuard while readers hammer it.
+// into a live database under a WriteTxn while readers hammer it.
 // ----------------------------------------------------------------------
-TEST(FreeRunningConcurrency, JournalReplayUnderWriteGuardExcludesReaders) {
+TEST(FreeRunningConcurrency, JournalReplayUnderWriteTxnHidesPartialReplay) {
   // Source database with a journal.
   storage::MemoryWalSink sink;
   storage::WalWriter wal(&sink);
@@ -731,15 +732,14 @@ TEST(FreeRunningConcurrency, JournalReplayUnderWriteGuardExcludesReaders) {
   Database db;
   ASSERT_TRUE(
       ddl::ExecuteDdl("define entity NOTE (name = integer)", &db).ok());
-  er::Session session(&db);
   std::atomic<bool> stop{false};
   std::atomic<int> violations{0};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      auto r = session.Read();
-      auto n = r->CountEntities("NOTE");
-      // Reads must see 0 (before) or 30 (after): ReplayJournal runs
-      // under one WriteGuard, so no intermediate count is visible.
+      er::SnapshotReadScope pin(&db, db.PinSnapshot());
+      auto n = db.CountEntities("NOTE");
+      // Reads must see 0 (before) or 30 (after): ReplayJournal
+      // publishes once, at the end, so no intermediate count is visible.
       if (!n.ok() || (*n != 0 && *n != 30)) {
         violations.fetch_add(1);
         break;
@@ -748,8 +748,9 @@ TEST(FreeRunningConcurrency, JournalReplayUnderWriteGuardExcludesReaders) {
     }
   });
   {
-    auto w = session.Write();
-    ASSERT_TRUE(w->ReplayJournal(sink.bytes()).ok());
+    er::WriteTxn txn(&db);
+    ASSERT_TRUE(txn->ReplayJournal(sink.bytes()).ok());
+    ASSERT_TRUE(txn.Commit().ok());
   }
   stop.store(true);
   reader.join();
@@ -858,9 +859,7 @@ TEST(RecordConcurrency, PinnedSnapshotKeepsRecordsAcrossCopyOnWrite) {
   ASSERT_TRUE(db.SetAttribute(b, "key", Value::Int(10)).ok());
   ASSERT_TRUE(db.SetAttribute(b, "text", Value::String(std::string(64, 'b')))
                   .ok());
-  db.PublishSnapshot();
-  std::shared_ptr<const er::Tables> pinned = db.TryPinSnapshot();
-  ASSERT_NE(pinned, nullptr);
+  std::shared_ptr<const er::Tables> pinned = db.PinSnapshot();
   auto record = [&](EntityId id) {
     const er::EntityRecord* rec = nullptr;
     db.FindEntities(&id, 1, &rec);
@@ -891,20 +890,21 @@ TEST(RecordConcurrency, PinnedSnapshotKeepsRecordsAcrossCopyOnWrite) {
   });
 
   {
-    er::WriteGuard w(db);
+    er::WriteTxn txn(&db);
     // The first write of the window clones the record...
-    EXPECT_TRUE(w.db()->SetAttribute(a, "key", Value::Int(2)).ok());
+    EXPECT_TRUE(txn->SetAttribute(a, "key", Value::Int(2)).ok());
     const er::EntityRecord* clone = record(a);
     EXPECT_NE(clone, pinned_a);
     // ...and the second edits that clone in place.
-    EXPECT_TRUE(w.db()->SetAttribute(a, "key", Value::Int(3)).ok());
-    EXPECT_TRUE(w.db()->SetAttribute(a, "text", Value::String("three")).ok());
+    EXPECT_TRUE(txn->SetAttribute(a, "key", Value::Int(3)).ok());
+    EXPECT_TRUE(txn->SetAttribute(a, "text", Value::String("three")).ok());
     EXPECT_EQ(record(a), clone);
     EXPECT_EQ(clone->attrs()[0].AsInt(), 3);
     EXPECT_EQ(clone->attrs()[1].AsString(), "three");
     // A record deleted under the pin stays readable through it.
-    EXPECT_TRUE(w.db()->DeleteEntity(b).ok());
+    EXPECT_TRUE(txn->DeleteEntity(b).ok());
     EXPECT_EQ(record(b), nullptr);
+    EXPECT_TRUE(txn.Commit().ok());
   }
   stop.store(true);
   reader.join();
@@ -922,6 +922,148 @@ TEST(RecordConcurrency, PinnedSnapshotKeepsRecordsAcrossCopyOnWrite) {
   EXPECT_FALSE(db.Exists(b));
   pinned.reset();
   EXPECT_EQ(db.GetAttribute(a, "text")->AsString(), "three");
+}
+
+// ----------------------------------------------------------------------
+// One read path: a mutation made outside any statement group is its
+// own group for visibility, so the direct-API writer's next QUEL read
+// pins a snapshot that already holds the write — no latch fallback.
+// ----------------------------------------------------------------------
+TEST(SnapshotReadTest, UngroupedWriteIsVisibleToTheNextPinnedRead) {
+  Database db;
+  ASSERT_TRUE(
+      ddl::ExecuteDdl("define entity NOTE (name = integer)", &db).ok());
+  mdm::Connection conn = mdm::Connection::Local(&db);
+  obs::Counter* snapshot =
+      obs::Registry::Global()->GetCounter("mdm_quel_snapshot_reads_total");
+  for (int i = 0; i < 5; ++i) {
+    MustCreate(&db, "NOTE", i);  // direct API, no WriteTxn
+    const uint64_t before = snapshot->value();
+    auto rs = conn.Execute("range of n is NOTE retrieve (c = count(n.name))");
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_EQ(rs->rows[0][0].AsInt(), i + 1);
+    // Both statements, the range and the retrieve, read the pin.
+    EXPECT_EQ(snapshot->value() - before, 2u);
+  }
+}
+
+// ----------------------------------------------------------------------
+// The write bracket: a WriteTxn dropped without Commit (the error path)
+// still ends its group — the applied prefix is published and its WAL
+// transaction committed — and releases the latch.
+// ----------------------------------------------------------------------
+TEST(WriteTxnTest, DroppedWithoutCommitPublishesAndCommitsItsPrefix) {
+  storage::MemoryWalSink sink;
+  storage::WalWriter wal(&sink);
+  Database db;
+  db.AttachJournal(&wal);
+  ASSERT_TRUE(
+      ddl::ExecuteDdl("define entity NOTE (name = integer)", &db).ok());
+  {
+    er::WriteTxn txn(&db);
+    MustCreate(&db, "NOTE", 1);
+    MustCreate(&db, "NOTE", 2);
+    // A failing op, after which the caller returns without Commit.
+    EXPECT_FALSE(txn->CreateEntity("NO_SUCH_TYPE").ok());
+  }
+  {
+    er::SnapshotReadScope pin(&db, db.PinSnapshot());
+    EXPECT_EQ(*db.CountEntities("NOTE"), 2u);
+  }
+  {
+    er::WriteTxn next(&db);  // the latch was released: no self-deadlock
+    MustCreate(&db, "NOTE", 3);
+    ASSERT_TRUE(next.Commit().ok());
+  }
+
+  Database replica;
+  ASSERT_TRUE(replica.ReplayJournal(sink.bytes()).ok());
+  EXPECT_EQ(*replica.CountEntities("NOTE"), 3u);
+}
+
+/// A journal sink whose Sync blocks until Release, so a test can look
+/// at the database while a committer waits for durability.
+class GatedSyncSink : public storage::MemoryWalSink {
+ public:
+  Status Sync() override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+    return Status::OK();
+  }
+  bool AwaitSync() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+// Commit publishes and releases the latch BEFORE it waits for the
+// fsync: while the group-commit sync is still blocked, readers already
+// see the commit and a second writer gets the latch.
+TEST(WriteTxnTest, LatchIsFreeWhileCommitWaitsForDurability) {
+  GatedSyncSink sink;
+  storage::WalWriter wal(&sink);
+  er::CommitCoordinator coordinator(&wal, {});
+  Database db;
+  ASSERT_TRUE(
+      ddl::ExecuteDdl("define entity NOTE (name = integer)", &db).ok());
+  db.AttachJournal(&wal);
+  db.AttachCommitCoordinator(&coordinator);
+
+  std::atomic<bool> committed{false};
+  Status commit;
+  std::thread committer([&] {
+    er::WriteTxn txn(&db);
+    MustCreate(&db, "NOTE", 1);
+    commit = txn.Commit();
+    committed.store(true);
+  });
+  const bool syncing = sink.AwaitSync();
+  uint64_t visible = 0;
+  {
+    er::SnapshotReadScope pin(&db, db.PinSnapshot());
+    visible = *db.CountEntities("NOTE");
+  }
+  // A second writer takes the latch while the first still waits; it
+  // commits after the release, in the next sync.
+  std::atomic<bool> latched{false};
+  Status second;
+  std::thread writer([&] {
+    er::WriteTxn txn(&db);
+    latched.store(true);
+    MustCreate(&db, "NOTE", 2);
+    second = txn.Commit();
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!latched.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const bool latch_free = latched.load();
+  const bool waiting = !committed.load();
+  sink.Release();
+  committer.join();
+  writer.join();
+
+  EXPECT_TRUE(syncing) << "the commit never reached the journal sync";
+  EXPECT_EQ(visible, 1u);
+  EXPECT_TRUE(latch_free) << "Commit waited for durability holding the latch";
+  EXPECT_TRUE(waiting) << "Commit returned before its sync finished";
+  EXPECT_TRUE(commit.ok()) << commit.ToString();
+  EXPECT_TRUE(second.ok()) << second.ToString();
+  db.AttachCommitCoordinator(nullptr);
 }
 
 }  // namespace

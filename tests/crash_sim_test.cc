@@ -351,17 +351,13 @@ std::vector<Step> BuildBatchedWorkload() {
                  std::function<Status(DurableDatabase*)> fn) {
     steps.push_back({std::move(what), std::move(fn)});
   };
-  // Wraps `body` in one statement group and waits for durability — the
+  // Wraps `body` in one WriteTxn and waits for durability — the
   // in-process shape of an ExecuteBatch call.
   auto batched = [](std::function<Status(er::Database*)> body) {
     return [body](DurableDatabase* h) -> Status {
-      er::Database* db = h->db();
-      db->BeginStatementGroup();
-      Status st = body(db);
-      Result<uint64_t> lsn = db->EndStatementGroup();
-      MDM_RETURN_IF_ERROR(st);
-      MDM_RETURN_IF_ERROR(lsn.status());
-      return db->WaitDurable(*lsn);
+      er::WriteTxn txn(h->db());
+      MDM_RETURN_IF_ERROR(body(h->db()));
+      return txn.Commit();
     };
   };
   add("schema batch", batched([](er::Database* db) -> Status {

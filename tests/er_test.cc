@@ -533,11 +533,14 @@ TEST_F(DatabaseTest, JournalGroupTransaction) {
   Database source;
   source.AttachJournal(&wal);
   ASSERT_TRUE(source.DefineEntityType(SimpleType("X")).ok());
-  ASSERT_TRUE(source.BeginTxn().ok());
-  ASSERT_TRUE(source.CreateEntity("X").ok());
-  ASSERT_TRUE(source.CreateEntity("X").ok());
-  size_t before_commit = sink.bytes().size();
-  ASSERT_TRUE(source.CommitTxn().ok());
+  size_t before_commit = 0;
+  {
+    WriteTxn txn(&source);
+    ASSERT_TRUE(txn->CreateEntity("X").ok());
+    ASSERT_TRUE(txn->CreateEntity("X").ok());
+    before_commit = sink.bytes().size();
+    ASSERT_TRUE(txn.Commit().ok());
+  }
 
   // Without the commit record, replay sees an unfinished transaction and
   // applies only the auto-committed schema op.

@@ -397,6 +397,40 @@ TEST_F(IndexPlanTest, ObsCountersAndProbeSpan) {
   EXPECT_NE(prom.find("span=\"quel.index_probe\""), std::string::npos);
 }
 
+// The end of a bulk index load rebuilds every tree and moves its erase
+// epoch without logging an op. It publishes like any mutation made
+// outside a statement group, so the next snapshot probe is answered by
+// the rebuilt tree instead of degrading to a scan of the type.
+TEST(IndexSnapshotTest, BulkLoadEndLeavesSnapshotProbesOnTheIndex) {
+  er::Database db;
+  ASSERT_TRUE(ddl::ExecuteDdl("define entity NOTE (k = integer)\n"
+                              "define index note_k on NOTE(k)",
+                              &db)
+                  .ok());
+  db.BeginBulkIndexLoad();
+  {
+    er::WriteTxn txn(&db);
+    for (int i = 0; i < 1000; ++i) {
+      Result<EntityId> note = txn->CreateEntity("NOTE");
+      ASSERT_TRUE(note.ok());
+      ASSERT_TRUE(txn->SetAttribute(*note, "k", Value::Int(i % 10)).ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  ASSERT_TRUE(db.EndBulkIndexLoad().ok());
+
+  obs::Counter* fallbacks = obs::Registry::Global()->GetCounter(
+      "mdm_index_snapshot_fallbacks_total");
+  const uint64_t before = fallbacks->value();
+  Connection conn = Connection::Local(&db);
+  for (int i = 0; i < 10; ++i) {
+    auto rs = conn.Execute("range of n is NOTE\nretrieve (n.k) where n.k = 5");
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_EQ(rs->rows.size(), 100u);
+  }
+  EXPECT_EQ(fallbacks->value() - before, 0u);
+}
+
 // ----------------------------------------------------------------------
 // Ablation-equivalence fuzz (PR 4 pattern): an indexed and an
 // index-disabled database receive the same seeded op sequence; every

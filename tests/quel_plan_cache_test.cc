@@ -117,7 +117,6 @@ class PlanCacheTest : public testing::Test {
             db_.AppendChild("note_in_chord", chord, Create("NOTE", c * 10 + n))
                 .ok());
     }
-    db_.PublishSnapshot();
   }
 
   EntityId Create(const std::string& type, int name) {
@@ -498,7 +497,6 @@ void BuildFig1Db(uint64_t seed, er::Database* db) {
       EXPECT_TRUE(db->AppendChild("note_on_staff", staff, note).ok());
     }
   }
-  db->PublishSnapshot();
 }
 
 /// A call of template `t` with random literals, some matching nothing.

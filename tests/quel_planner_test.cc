@@ -879,7 +879,6 @@ TEST_P(CompiledEvaluatorFuzz, CompiledMatchesDirectApiReference) {
     if (rng.Bernoulli(0.8))
       ok(db.SetRelationshipAttribute(*l, "w", Value::Int(rng.Range(0, 4))));
   }
-  db.PublishSnapshot();
   const er::OrderingHandle h = *db.ResolveOrderingHandle("part_in_grp");
 
   // Direct-API reference helpers.
